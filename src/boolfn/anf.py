@@ -9,25 +9,42 @@ directly on the packed bits, and it is its own inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .truthtable import TruthTable
-
-_DEGREE_NUMPY_MIN_N = 14
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+from .truthtable import TruthTable, unpack_bits
 
 
 def _mobius(bits: int, n: int) -> int:
     """Packed XOR butterfly; self-inverse subset-sum over GF(2)."""
     size = 1 << n
-    full = (1 << size) - 1
     block = 1
     while block < size:
-        low_mask = ((1 << block) - 1) * (full // ((1 << (2 * block)) - 1))
+        # low `block` bits of every 2*block-bit group, built by doubling
+        low_mask = (1 << block) - 1
+        width = 2 * block
+        while width < size:
+            low_mask |= low_mask << width
+            width <<= 1
         bits ^= (bits & low_mask) << block
         block <<= 1
     return bits
+
+
+@lru_cache(maxsize=None)
+def _name_tables(n: int) -> tuple[tuple[str, ...], tuple[str, ...], int]:
+    """Monomial names of the high and low halves of the index bits, and the
+    low half's width: the name of m is high[m >> low_bits] + low[m & mask]."""
+    low_bits = n // 2
+
+    def table(first: int, stop: int) -> tuple[str, ...]:
+        names = [""]
+        for p in range(first, stop):  # bit p is x_{n-p}, which is written first
+            names += [f"x{n - p}{rest}" for rest in names]
+        return tuple(names)
+
+    return table(low_bits, n), table(0, low_bits), low_bits
 
 
 @dataclass(frozen=True)
@@ -44,37 +61,19 @@ class AnfTable:
     def to_truthtable(self) -> TruthTable:
         return TruthTable(self.n, _mobius(self.coeffs, self.n))
 
+    @cached_property
+    def _indices(self) -> np.ndarray:
+        """Set coefficient indices, ascending."""
+        return np.flatnonzero(unpack_bits(self.coeffs, 1 << self.n))
+
     def monomials(self) -> list[int]:
         """Set coefficient indices, ascending."""
-        out = []
-        m = self.coeffs
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return self._indices.tolist()
 
     def degree(self) -> int:
         """Largest monomial size; 0 for the constants (see is_constant)."""
-        if self.coeffs == 0:
-            return 0
-        if self.n < _DEGREE_NUMPY_MIN_N:
-            best = 0
-            m = self.coeffs
-            while m:
-                low = m & -m
-                best = max(best, (low.bit_length() - 1).bit_count())
-                if best == self.n:
-                    break
-                m ^= low
-            return best
-        raw = self.coeffs.to_bytes((1 << self.n) // 8, "little")
-        flags = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        idx = np.flatnonzero(flags).astype(np.uint32)
-        pc = _POPCOUNT8[idx & 0xFF]
-        for shift in (8, 16, 24):
-            pc = pc + _POPCOUNT8[(idx >> shift) & 0xFF]
-        return int(pc.max())
+        idx = self._indices
+        return int(np.bitwise_count(idx).max()) if idx.size else 0
 
     def monomial_string(self, m: int) -> str:
         if m == 0:
@@ -83,15 +82,22 @@ class AnfTable:
         return "".join(names)
 
     def render(self) -> str:
-        """Sum of monomials, highest degree first, 'x1x2'-style variables."""
-        if self.coeffs == 0:
+        """Sum of monomials, highest degree first, 'x1x2'-style variables.
+
+        Within one degree the variable tuples ascend lexicographically, which
+        is descending m because x1 sits in the top index bit."""
+        idx = self._indices
+        if not idx.size:
             return "0"
-        keyed = []
-        for m in self.monomials():
-            variables = tuple(self.n - p for p in range(m.bit_length() - 1, -1, -1) if (m >> p) & 1)
-            keyed.append((-len(variables), variables, m))
-        keyed.sort()
-        return " + ".join(self.monomial_string(m) for _, _, m in keyed)
+        # (degree, m) packed into one key; keys are distinct, so reversing the
+        # ascending sort gives the descending order
+        keys = np.sort(np.bitwise_count(idx).astype(idx.dtype) << self.n | idx)[::-1]
+        ms = keys & ((1 << self.n) - 1)
+        high, low, low_bits = _name_tables(self.n)
+        terms = [high[h] + low[l] for h, l in zip((ms >> low_bits).tolist(), (ms & (len(low) - 1)).tolist())]
+        if self.coeffs & 1:  # the constant monomial has degree 0, so it is last
+            terms[-1] = "1"
+        return " + ".join(terms)
 
 
 def to_anf(t: TruthTable) -> AnfTable:

@@ -24,7 +24,7 @@ from .majority import (
     run_length_string,
     verify_identities,
 )
-from .spectral import check_weight_equals_nonlinearity, walsh_transform
+from .spectral import _small_weight_check, walsh_transform
 from .truthtable import TruthTable, from_bitstring, from_hex, max_vars, random_table
 
 _RUNLENGTH_MAX_K = 9
@@ -60,18 +60,20 @@ class AnalysisReport:
 
 def analyze_table(t: TruthTable) -> AnalysisReport:
     spectrum = walsh_transform(t)
+    anf = to_anf(t)
+    nl = spectrum.nonlinearity() if t.n >= 1 else None
     verdict = "not-applicable"
     if t.n >= 2:
-        verdict = check_weight_equals_nonlinearity(t).verdict
+        verdict = _small_weight_check(t, nl).verdict
     return AnalysisReport(
         n=t.n,
         weight=t.weight(),
         balanced=t.is_balanced(),
-        nonlinearity=spectrum.nonlinearity() if t.n >= 1 else None,
-        degree=to_anf(t).degree(),
+        nonlinearity=nl,
+        degree=anf.degree(),
         max_abs_walsh=spectrum.max_abs(),
         max_abs_walsh_at=spectrum.max_abs_index(),
-        anf=to_anf(t).render(),
+        anf=anf.render(),
         weight_equals_nonlinearity=verdict,
     )
 

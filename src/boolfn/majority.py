@@ -13,6 +13,7 @@ against measured values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -25,14 +26,6 @@ VERIFY_MAX_K = 24  # spectrum-verified range; closed forms alone go to BINOMIAL_
 BINOMIAL_MAX = 64
 _BRUTE_FORCE_MAX_K = 15
 _BUILD_CHUNK = 1 << 20
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _popcounts(idx: np.ndarray) -> np.ndarray:
-    pc = _POPCOUNT8[idx & 0xFF]
-    for shift in (8, 16, 24):
-        pc = pc + _POPCOUNT8[(idx >> shift) & 0xFF]
-    return pc
 
 
 def majority(k: int) -> TruthTable:
@@ -44,7 +37,7 @@ def majority(k: int) -> TruthTable:
     packed = bytearray()
     for start in range(0, size, _BUILD_CHUNK):
         idx = np.arange(start, min(start + _BUILD_CHUNK, size), dtype=np.uint32)
-        packed += np.packbits(_popcounts(idx) >= threshold, bitorder="little").tobytes()
+        packed += np.packbits(np.bitwise_count(idx) >= threshold, bitorder="little").tobytes()
     return TruthTable(k, int.from_bytes(packed, "little"))
 
 
@@ -66,13 +59,10 @@ def first_quarter(k: int) -> TruthTable:
 
 
 def binomial(a: int, b: int) -> int:
-    """Exact C(a, b) by Pascal-row accumulation."""
+    """Exact C(a, b)."""
     if not 0 <= b <= a <= BINOMIAL_MAX:
         raise ValueError(f"binomial arguments ({a}, {b}) outside 0 <= b <= a <= {BINOMIAL_MAX}")
-    row = [1]
-    for _ in range(a):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[b]
+    return math.comb(a, b)
 
 
 def predicted_nonlinearity(k: int) -> int:

@@ -167,9 +167,13 @@ def check_weight_equals_nonlinearity(t: TruthTable) -> WeightNonlinearityCheck:
     """Check wt = N whenever the weight is at most a quarter of the table."""
     if t.n < 2:
         raise ValueError("small-weight check needs at least two variables")
+    return _small_weight_check(t, nonlinearity(t))
+
+
+def _small_weight_check(t: TruthTable, nl: int) -> WeightNonlinearityCheck:
+    """The small-weight check on a table whose nonlinearity is already known."""
     w = t.weight()
     threshold = 1 << (t.n - 2)
-    nl = nonlinearity(t)
     if w > threshold:
         return WeightNonlinearityCheck(w, nl, threshold, applicable=False, holds=None)
     return WeightNonlinearityCheck(w, nl, threshold, applicable=True, holds=nl == w)

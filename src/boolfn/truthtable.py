@@ -15,6 +15,7 @@ integer arithmetic.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +25,21 @@ _MAX_VARS_ENV = "BOOLFN_MAX_N"
 
 # per-byte bit reversal table, shared by reverse() and the hex codec
 _BYTE_REVERSE = bytes(int(format(i, "08b")[::-1], 2) for i in range(256))
+_NON_HEX = re.compile(r"[^0-9a-fA-F]")
 
 
 def max_vars() -> int:
-    """Largest allowed variable count (default 30, override via BOOLFN_MAX_N)."""
-    return int(os.environ.get(_MAX_VARS_ENV, _DEFAULT_MAX_VARS))
+    """Largest allowed variable count: 30, or BOOLFN_MAX_N (an integer in 0..30)."""
+    raw = os.environ.get(_MAX_VARS_ENV, str(_DEFAULT_MAX_VARS))
+    if not raw.strip().isdecimal() or int(raw) > _DEFAULT_MAX_VARS:
+        raise ValueError(f"{_MAX_VARS_ENV} must be an integer in 0..{_DEFAULT_MAX_VARS}, got {raw!r}")
+    return int(raw)
+
+
+def unpack_bits(bits: int, size: int) -> np.ndarray:
+    """Bits 0..size-1 of a nonnegative int as a uint8 array of 0/1."""
+    raw = bits.to_bytes((size + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=size, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -146,10 +157,7 @@ class TruthTable:
 
     def to_array(self) -> np.ndarray:
         """Table entries as a uint8 array of 0/1, entry i at position i."""
-        raw = self.bits.to_bytes((self.size + 7) // 8, "little")
-        return np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8), count=self.size, bitorder="little"
-        )
+        return unpack_bits(self.bits, self.size)
 
 
 def from_bitstring(s: str) -> TruthTable:
@@ -157,9 +165,14 @@ def from_bitstring(s: str) -> TruthTable:
     for pos, ch in enumerate(s):
         if ch not in "01":
             raise ValueError(f"invalid character {ch!r} at position {pos}")
-    if len(s) == 0 or len(s) & (len(s) - 1):
-        raise ValueError(f"table length {len(s)} is not a power of two")
-    return TruthTable(len(s).bit_length() - 1, int(s[::-1], 2))
+    return TruthTable(_table_vars(len(s)), int(s[::-1], 2))
+
+
+def _table_vars(length: int) -> int:
+    """Variable count of a table with `length` entries."""
+    if length == 0 or length & (length - 1):
+        raise ValueError(f"table length {length} is not a power of two")
+    return length.bit_length() - 1
 
 
 def from_hex(s: str) -> TruthTable:
@@ -167,12 +180,15 @@ def from_hex(s: str) -> TruthTable:
     if not s.startswith(("0x", "0X")):
         raise ValueError("hex table text must start with '0x'")
     digits = s[2:]
-    for pos, ch in enumerate(digits):
-        if ch not in "0123456789abcdefABCDEF":
-            raise ValueError(f"invalid hex character {ch!r} at position {pos + 2}")
+    bad = _NON_HEX.search(digits)  # checked here: bytes.fromhex skips whitespace
+    if bad:
+        raise ValueError(f"invalid hex character {bad.group()!r} at position {bad.start() + 2}")
     if not digits:
         raise ValueError("hex table text has no digits")
-    return from_bitstring("".join(format(int(ch, 16), "04b") for ch in digits))
+    if len(digits) == 1:  # half a byte: the 4-entry table on two variables
+        return from_bitstring(format(int(digits, 16), "04b"))
+    n = _table_vars(4 * len(digits))
+    return TruthTable(n, int.from_bytes(bytes.fromhex(digits).translate(_BYTE_REVERSE), "little"))
 
 
 def concat(left: TruthTable, right: TruthTable) -> TruthTable:

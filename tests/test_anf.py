@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boolfn import AnfTable, TruthTable, degree, from_bitstring, is_affine, to_anf
+from boolfn import AnfTable, TruthTable, degree, from_bitstring, is_affine, random_table, to_anf
 
 from conftest import truth_tables
 
@@ -17,6 +19,24 @@ def evaluate_anf(a: AnfTable, x: int) -> int:
         if m & x == m:
             value ^= 1
     return value
+
+
+def definition_render(t: TruthTable) -> str:
+    """ANF text from the coefficient definition: the coefficient of monomial
+    m is the XOR of f over the points below m; terms sorted by
+    (-len(vars), vars)."""
+    terms = []
+    for m in range(t.size):
+        coeff, sub = 0, m
+        while True:
+            coeff ^= t.bit(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & m
+        if coeff:
+            terms.append(tuple(t.n - p for p in range(t.n - 1, -1, -1) if (m >> p) & 1))
+    terms.sort(key=lambda vs: (-len(vs), vs))
+    return " + ".join("".join(f"x{v}" for v in vs) or "1" for vs in terms) or "0"
 
 
 class TestMobius:
@@ -67,7 +87,7 @@ class TestDegree:
             assert count == 1 << (n + 1)
 
     def test_wide_table_path(self):
-        # n = 14 exercises the vectorized popcount branch
+        # a sparse table on 14 variables: the constant and one monomial of degree n - 1
         n = 14
         monomial = (1 << n) - 2  # product of all variables but the fastest
         t = AnfTable(n, (1 << monomial) | 1).to_truthtable()
@@ -82,6 +102,14 @@ class TestDegree:
             assert to_anf(t).degree() == t.n
         else:
             assert to_anf(t).degree() < t.n
+
+    @given(st.integers(14, 18), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_odd_weight_forces_full_degree_wide(self, n, seed, flip):
+        t = random_table(n, np.random.default_rng(seed))
+        if flip:
+            t = t ^ TruthTable(n, 1)
+        assert (to_anf(t).degree() == n) == (t.weight() % 2 == 1)
 
 
 class TestRendering:
@@ -103,6 +131,11 @@ class TestRendering:
     def test_render_includes_constant_term(self):
         a = to_anf(from_bitstring("10"))  # f = 1 + x1
         assert a.render() == "x1 + 1"
+
+    @given(truth_tables())
+    @settings(max_examples=60)
+    def test_render_matches_definition(self, t):
+        assert to_anf(t).render() == definition_render(t)
 
 
 class TestAffinePredicate:

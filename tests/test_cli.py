@@ -157,3 +157,10 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--tt", "0110", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "31"])
+    def test_invalid_variable_cap(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BOOLFN_MAX_N", value)
+        code, out, err = run(capsys, "analyze", "--tt", "0110")
+        assert code == 2 and out == ""
+        assert err == f"error: BOOLFN_MAX_N must be an integer in 0..30, got {value!r}\n"

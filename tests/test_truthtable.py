@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolfn import (
@@ -63,6 +63,12 @@ class TestConstruction:
         assert max_vars() == 4
         with pytest.raises(ValueError):
             TruthTable(5, 0)
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "31"])
+    def test_variable_cap_validated(self, monkeypatch, value):
+        monkeypatch.setenv("BOOLFN_MAX_N", value)
+        with pytest.raises(ValueError, match=r"BOOLFN_MAX_N must be an integer in 0\.\.30"):
+            max_vars()
 
     def test_bit_matches_evaluate(self):
         t = from_bitstring("00010110")
@@ -147,6 +153,12 @@ class TestCodecs:
         assert text.startswith("0x")
         assert from_hex(text) == t
 
+    @given(st.integers(2, 20), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_hex_round_trip_wide(self, n, seed):
+        t = random_table(n, np.random.default_rng(seed))
+        assert from_hex(t.to_hex()) == t
+
     def test_hex_known_value(self):
         # entry 0 occupies the top bit of the first hex digit
         assert from_bitstring("0001").to_hex() == "0x1"
@@ -168,6 +180,11 @@ class TestCodecs:
             from_hex("0xfg")
         with pytest.raises(ValueError, match="no digits"):
             from_hex("0x")
+
+    @pytest.mark.parametrize(("text", "position"), [("0x12 34", 4), ("0x12\n", 4)])
+    def test_hex_rejects_whitespace(self, text, position):
+        with pytest.raises(ValueError, match=f"invalid hex character .* at position {position}"):
+            from_hex(text)
 
     @given(truth_tables())
     def test_array_matches_bits(self, t):
