@@ -16,6 +16,7 @@ from .majority import (
     MajorityReport,
     binomial,
     first_quarter,
+    iter_reports,
     left_half,
     majority,
     majority_report,
@@ -69,6 +70,7 @@ __all__ = [
     "from_bitstring",
     "from_hex",
     "is_affine",
+    "iter_reports",
     "left_half",
     "majority",
     "majority_report",

@@ -76,10 +76,12 @@ class AnfTable:
         return int(np.bitwise_count(idx).max()) if idx.size else 0
 
     def monomial_string(self, m: int) -> str:
+        if not 0 <= m < 1 << self.n:
+            raise ValueError(f"monomial index {m} outside 0..{(1 << self.n) - 1}")
         if m == 0:
             return "1"
-        names = [f"x{self.n - p}" for p in range(m.bit_length() - 1, -1, -1) if (m >> p) & 1]
-        return "".join(names)
+        high, low, low_bits = _name_tables(self.n)
+        return high[m >> low_bits] + low[m & (len(low) - 1)]
 
     def render(self) -> str:
         """Sum of monomials, highest degree first, 'x1x2'-style variables.

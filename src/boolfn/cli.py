@@ -12,18 +12,12 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .anf import to_anf
-from .majority import (
-    VERIFY_MAX_K,
-    majority,
-    majority_report,
-    run_length_string,
-    verify_identities,
-)
+from .majority import iter_reports, majority, majority_report, run_length_string
 from .spectral import _small_weight_check, walsh_transform
 from .truthtable import TruthTable, from_bitstring, from_hex, max_vars, random_table
 
@@ -45,17 +39,7 @@ class AnalysisReport:
     weight_equals_nonlinearity: str
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "weight": self.weight,
-            "balanced": self.balanced,
-            "nonlinearity": self.nonlinearity,
-            "degree": self.degree,
-            "max_abs_walsh": self.max_abs_walsh,
-            "max_abs_walsh_at": self.max_abs_walsh_at,
-            "anf": self.anf,
-            "weight_equals_nonlinearity": self.weight_equals_nonlinearity,
-        }
+        return asdict(self)
 
 
 def analyze_table(t: TruthTable) -> AnalysisReport:
@@ -117,13 +101,10 @@ def _cmd_majority(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not 4 <= args.max_k <= VERIFY_MAX_K:
-        raise ValueError(f"--max-k must be in 4..{VERIFY_MAX_K}, got {args.max_k}")
     failures = []
-    for k in range(4, args.max_k + 1):
-        rep = majority_report(k)
+    for rep in iter_reports(args.max_k):
         if not rep.all_passed():
-            failures.append(k)
+            failures.append(rep.k)
         if args.json:
             print(json.dumps(rep.to_dict()), flush=True)
         else:

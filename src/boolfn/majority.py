@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -225,9 +226,15 @@ def majority_report(k: int) -> MajorityReport:
     return MajorityReport(k, weight, measured, predicted, tuple(checks), oracle)
 
 
-def verify_identities(k_max: int) -> list[MajorityReport]:
-    """Reports for every k in 4..k_max; a failed identity never raises,
-    it is recorded in the report."""
+def iter_reports(k_max: int) -> Iterator[MajorityReport]:
+    """Reports for k = 4..k_max, each built when the caller asks for it; the
+    range is checked at the call.  A failed identity never raises, it is
+    recorded in the report."""
     if not 4 <= k_max <= VERIFY_MAX_K:
         raise ValueError(f"verification range is 4..{VERIFY_MAX_K}, got {k_max}")
-    return [majority_report(k) for k in range(4, k_max + 1)]
+    return (majority_report(k) for k in range(4, k_max + 1))
+
+
+def verify_identities(k_max: int) -> list[MajorityReport]:
+    """Reports for every k in 4..k_max; see iter_reports."""
+    return list(iter_reports(k_max))

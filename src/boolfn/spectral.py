@@ -10,13 +10,13 @@ path measures the minimum distance over all affine tables directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .truthtable import TruthTable
 
 _BRUTE_FORCE_MAX_VARS = 16
-_EXPAND_BLOCK_BYTES = 1 << 17  # expand packed bits in 1-Mbit slices
 
 
 def _variable_pattern(j: int, size: int) -> int:
@@ -24,21 +24,6 @@ def _variable_pattern(j: int, size: int) -> int:
     block = 1 << j
     unit = ((1 << block) - 1) << block
     return unit * (((1 << size) - 1) // ((1 << (2 * block)) - 1))
-
-
-def _sign_vector(t: TruthTable) -> np.ndarray:
-    """The +-1 expansion of a table: entry i is (-1)**f(v_i)."""
-    size = t.size
-    raw = t.bits.to_bytes((size + 7) // 8, "little")
-    out = np.empty(size, dtype=np.int64)
-    for off in range(0, len(raw), _EXPAND_BLOCK_BYTES):
-        chunk = np.frombuffer(
-            raw, dtype=np.uint8, count=min(_EXPAND_BLOCK_BYTES, len(raw) - off), offset=off
-        )
-        lo = off * 8
-        bits = np.unpackbits(chunk, count=min(size - lo, chunk.size * 8), bitorder="little")
-        out[lo : lo + bits.size] = 1 - 2 * bits.astype(np.int64)
-    return out
 
 
 def _hadamard_inplace(values: np.ndarray) -> None:
@@ -65,12 +50,20 @@ class WalshSpectrum:
     n: int
     values: np.ndarray
 
+    @cached_property
+    def _peak(self) -> tuple[int, int]:
+        """max|W| and the smallest index attaining it, from one |W| pass."""
+        # argmax on the writable |W| buffer: on the read-only values it copies
+        magnitudes = np.abs(self.values)
+        at = int(magnitudes.argmax())
+        return int(magnitudes[at]), at
+
     def max_abs(self) -> int:
-        return int(np.max(np.abs(self.values)))
+        return self._peak[0]
 
     def max_abs_index(self) -> int:
         """Smallest index attaining max|W|."""
-        return int(np.argmax(np.abs(self.values)))
+        return self._peak[1]
 
     def parseval_sum(self) -> int:
         """Sum of squared values; equals 2**(2n) for any genuine spectrum."""
@@ -83,7 +76,9 @@ class WalshSpectrum:
 
 
 def walsh_transform(t: TruthTable) -> WalshSpectrum:
-    values = _sign_vector(t)
+    values = t.to_array().astype(np.int64)
+    values *= -2  # in place, entry i becomes (-1)**f(v_i) without a second buffer
+    values += 1
     _hadamard_inplace(values)
     values.setflags(write=False)
     return WalshSpectrum(t.n, values)
@@ -91,8 +86,6 @@ def walsh_transform(t: TruthTable) -> WalshSpectrum:
 
 def nonlinearity(t: TruthTable) -> int:
     """Minimum distance to the affine functions, via the spectrum."""
-    if t.n == 0:
-        raise ValueError("nonlinearity needs at least one variable")
     return walsh_transform(t).nonlinearity()
 
 

@@ -25,6 +25,7 @@ _MAX_VARS_ENV = "BOOLFN_MAX_N"
 
 # per-byte bit reversal table, shared by reverse() and the hex codec
 _BYTE_REVERSE = bytes(int(format(i, "08b")[::-1], 2) for i in range(256))
+_NON_BINARY = re.compile(r"[^01]")
 _NON_HEX = re.compile(r"[^0-9a-fA-F]")
 
 
@@ -123,11 +124,9 @@ class TruthTable:
     def reverse(self) -> TruthTable:
         """Table read back-to-front: bit i becomes bit 2**n - 1 - i."""
         size = self.size
-        if size < 8:
-            rev = int(format(self.bits, f"0{size}b")[::-1], 2)
-        else:
-            raw = self.bits.to_bytes(size // 8, "little")
-            rev = int.from_bytes(raw[::-1].translate(_BYTE_REVERSE), "little")
+        raw = self.bits.to_bytes((size + 7) // 8, "little")
+        # a table under 8 bits lands in the top bits of its byte
+        rev = int.from_bytes(raw[::-1].translate(_BYTE_REVERSE), "little") >> (-size % 8)
         return TruthTable(self.n, rev)
 
     def halves(self) -> tuple[TruthTable, TruthTable]:
@@ -150,10 +149,8 @@ class TruthTable:
         size = self.size
         if size < 4:
             raise ValueError("hex format needs a table of at least 4 bits")
-        if size == 4:
-            return f"0x{int(self.to_bitstring(), 2):x}"
-        raw = self.bits.to_bytes(size // 8, "little")
-        return "0x" + raw.translate(_BYTE_REVERSE).hex()
+        raw = self.bits.to_bytes((size + 7) // 8, "little")
+        return "0x" + raw.translate(_BYTE_REVERSE).hex()[: size // 4]
 
     def to_array(self) -> np.ndarray:
         """Table entries as a uint8 array of 0/1, entry i at position i."""
@@ -162,9 +159,9 @@ class TruthTable:
 
 def from_bitstring(s: str) -> TruthTable:
     """Parse '0'/'1' text, first character = table entry 0."""
-    for pos, ch in enumerate(s):
-        if ch not in "01":
-            raise ValueError(f"invalid character {ch!r} at position {pos}")
+    bad = _NON_BINARY.search(s)
+    if bad:
+        raise ValueError(f"invalid character {bad.group()!r} at position {bad.start()}")
     return TruthTable(_table_vars(len(s)), int(s[::-1], 2))
 
 
@@ -185,10 +182,9 @@ def from_hex(s: str) -> TruthTable:
         raise ValueError(f"invalid hex character {bad.group()!r} at position {bad.start() + 2}")
     if not digits:
         raise ValueError("hex table text has no digits")
-    if len(digits) == 1:  # half a byte: the 4-entry table on two variables
-        return from_bitstring(format(int(digits, 16), "04b"))
     n = _table_vars(4 * len(digits))
-    return TruthTable(n, int.from_bytes(bytes.fromhex(digits).translate(_BYTE_REVERSE), "little"))
+    raw = bytes.fromhex(digits + "0" * (len(digits) % 2))  # one digit: the 4-entry table
+    return TruthTable(n, int.from_bytes(raw.translate(_BYTE_REVERSE), "little"))
 
 
 def concat(left: TruthTable, right: TruthTable) -> TruthTable:

@@ -119,6 +119,9 @@ class TestRendering:
         assert a.monomial_string(1) == "x3"
         assert a.monomial_string(0b100) == "x1"
         assert a.monomial_string(0b111) == "x1x2x3"
+        for m in (-1, 0b1000, 0b10000001):  # bits above x1 name no variable
+            with pytest.raises(ValueError, match="outside 0..7"):
+                a.monomial_string(m)
 
     def test_render_orders_by_degree(self):
         a = to_anf(from_bitstring("00010011"))

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
 
 import pytest
 
+from boolfn import IdentityResult
 from boolfn.cli import main
 
 MAJ5 = "00000001000101110001011101111111"
@@ -123,6 +126,23 @@ class TestVerify:
     def test_low_bound_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--max-k", "3")
         assert code == 2 and "4..24" in err
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_failed_identity_exits_1(self, capsys, monkeypatch, as_json):
+        module = importlib.import_module("boolfn.majority")  # boolfn.majority is the function
+        real = module.majority_report
+
+        def broken(k):
+            rep = real(k)
+            return dataclasses.replace(rep, identities=(IdentityResult("forced", False),)) if k == 5 else rep
+
+        monkeypatch.setattr(module, "majority_report", broken)
+        code, out, _ = run(capsys, "verify", "--max-k", "6", *(["--json"] if as_json else []))
+        assert code == 1
+        if as_json:
+            assert json.loads(out.splitlines()[-1])["summary"]["failed_k"] == [5]
+        else:
+            assert "FAIL" in out.splitlines()[1] and "FAILURES at k=[5]" in out
 
 
 class TestBench:

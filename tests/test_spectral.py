@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolfn import (
@@ -59,6 +59,15 @@ class TestWalshTransform:
         spectrum = walsh_transform(from_bitstring("0001"))
         assert spectrum.max_abs() == 2
         assert spectrum.max_abs_index() == 0
+
+    @given(truth_tables(max_n=8))
+    @example(TruthTable(2, 0b0111))  # NAND: W = -2, -2, -2, 2, so the first maximum is negative
+    def test_max_abs_index_matches_definition(self, t):
+        values = naive_spectrum(t).tolist()
+        top = max(abs(v) for v in values)
+        spectrum = walsh_transform(t)
+        assert spectrum.max_abs() == top
+        assert spectrum.max_abs_index() == next(i for i, v in enumerate(values) if abs(v) == top)
 
 
 class TestNonlinearity:

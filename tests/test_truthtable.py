@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,14 +166,22 @@ class TestCodecs:
         assert from_bitstring("0001").to_hex() == "0x1"
         assert from_bitstring("1000").to_hex() == "0x8"
         assert from_bitstring("00010110").to_hex() == "0x16"
+        for d in "0123456789abcdef":
+            assert from_hex("0x" + d) == from_bitstring(format(int(d, 16), "04b"))
 
     def test_hex_needs_four_bits(self):
         with pytest.raises(ValueError):
             TruthTable(1, 0b01).to_hex()
 
+    # "0_10" would pass int(s, 2), which allows underscores
+    @pytest.mark.parametrize(
+        ("text", "char", "position"), [("012x", "2", 2), ("0_10", "_", 1), (" 0110", " ", 0), ("0110\n", "\n", 4)]
+    )
+    def test_bitstring_errors_name_position(self, text, char, position):
+        with pytest.raises(ValueError, match=re.escape(f"invalid character {char!r} at position {position}")):
+            from_bitstring(text)
+
     def test_parse_errors_name_position(self):
-        with pytest.raises(ValueError, match="position 2"):
-            from_bitstring("012x")
         with pytest.raises(ValueError, match="power of two"):
             from_bitstring("010")
         with pytest.raises(ValueError, match="0x"):
