@@ -18,7 +18,7 @@ import numpy as np
 
 from .anf import to_anf
 from .majority import iter_reports, majority, majority_report, run_length_string
-from .spectral import _small_weight_check, walsh_transform
+from .spectral import WalshSpectrum, _small_weight_check, walsh_transform
 from .truthtable import TruthTable, from_bitstring, from_hex, max_vars, random_table
 
 _RUNLENGTH_MAX_K = 9
@@ -42,8 +42,10 @@ class AnalysisReport:
         return asdict(self)
 
 
-def analyze_table(t: TruthTable) -> AnalysisReport:
-    spectrum = walsh_transform(t)
+def analyze_table(t: TruthTable, spectrum: WalshSpectrum | None = None) -> AnalysisReport:
+    """The report on t; pass t's spectrum when it is already computed."""
+    if spectrum is None:
+        spectrum = walsh_transform(t)
     anf = to_anf(t)
     nl = spectrum.nonlinearity() if t.n >= 1 else None
     verdict = "not-applicable"
@@ -73,14 +75,15 @@ def _parse_table(text: str, fmt: str, expect_n: int | None) -> TruthTable:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     t = _parse_table(args.tt, args.format, args.n)
-    report = analyze_table(t)
+    spectrum = walsh_transform(t)
+    report = analyze_table(t, spectrum)
     if args.text:
         for key, value in report.to_dict().items():
             print(f"{key}: {value}")
         return 0
     payload = report.to_dict()
     if args.spectrum:
-        payload["walsh_spectrum"] = [int(v) for v in walsh_transform(t).values]
+        payload["walsh_spectrum"] = spectrum.values.tolist()
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -202,7 +202,7 @@ def majority_report(k: int) -> MajorityReport:
         )
 
         if k >= 7:
-            q1 = first_quarter(k)
+            q1 = a.halves()[0]  # first_quarter(k), without building majority(k) again
             prev_right = prev.halves()[1]
             add("first_quarter_is_reversed_complement", q1 == prev_right.complement().reverse())
             q1a, q1b = q1.halves()

@@ -8,8 +8,8 @@ import json
 
 import pytest
 
-from boolfn import IdentityResult
-from boolfn.cli import main
+from boolfn import IdentityResult, from_bitstring, walsh_transform
+from boolfn.cli import analyze_table, main
 
 MAJ5 = "00000001000101110001011101111111"
 
@@ -69,6 +69,21 @@ class TestAnalyze:
         _, out, _ = run(capsys, "analyze", "--tt", "0110", "--spectrum")
         report = json.loads(out)
         assert report["walsh_spectrum"] == [0, 0, 0, 4]
+
+    def test_spectrum_flag_transforms_once(self, capsys, monkeypatch):
+        t = from_bitstring(MAJ5)
+        expected = {**analyze_table(t).to_dict(), "walsh_spectrum": walsh_transform(t).values.tolist()}
+        calls = []
+
+        def counted(table):
+            calls.append(table)
+            return walsh_transform(table)
+
+        for name in ("cli", "spectral"):
+            monkeypatch.setattr(importlib.import_module(f"boolfn.{name}"), "walsh_transform", counted)
+        code, out, _ = run(capsys, "analyze", "--tt", MAJ5, "--spectrum")
+        assert code == 0 and len(calls) == 1
+        assert out == json.dumps(expected, indent=2) + "\n"
 
     def test_consistency_invariant(self, capsys):
         _, out, _ = run(capsys, "analyze", "--tt", MAJ5)

@@ -15,8 +15,10 @@ from boolfn import (
     check_weight_equals_nonlinearity,
     from_bitstring,
     nonlinearity,
+    random_table,
     walsh_transform,
 )
+from boolfn.truthtable import _DEFAULT_MAX_VARS
 
 from conftest import truth_tables
 
@@ -30,6 +32,25 @@ def naive_spectrum(t: TruthTable) -> np.ndarray:
         parity += ((idx[:, None] >> j) & 1) * ((idx[None, :] >> j) & 1)
     signs = 1 - 2 * t.to_array().astype(np.int64)
     return ((-1) ** (parity % 2) * signs[None, :]).sum(axis=1)
+
+
+def butterfly_int64(t: TruthTable) -> np.ndarray:
+    """The textbook transform: int64 signs, one butterfly pass per variable."""
+    values = 1 - 2 * t.to_array().astype(np.int64)
+    h = 1
+    while h < values.size:
+        pairs = values.reshape(-1, 2, h)
+        top, bot = pairs[:, 0, :].copy(), pairs[:, 1, :].copy()
+        pairs[:, 0, :], pairs[:, 1, :] = top + bot, top - bot
+        h <<= 1
+    return values
+
+
+def kernel_tables(n: int) -> list[TruthTable]:
+    """Random, both constant and two single-point tables on n variables."""
+    size = 1 << n
+    packed = (0, (1 << size) - 1, 1, 1 << (size - 1))
+    return [random_table(n, np.random.default_rng(n)), *(TruthTable(n, bits) for bits in packed)]
 
 
 class TestWalshTransform:
@@ -50,6 +71,34 @@ class TestWalshTransform:
         spectrum = walsh_transform(from_bitstring("0110"))
         with pytest.raises(ValueError):
             spectrum.values[0] = 99
+
+    # 13..18 fall on both sides of the blocked low passes (h < 2**14) and
+    # of the 2**17-point row groups
+    @pytest.mark.parametrize("n", [13, 14, 15, 17, 18])
+    def test_matches_int64_butterfly(self, n):
+        for t in kernel_tables(n):
+            assert np.array_equal(walsh_transform(t).values, butterfly_int64(t))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_sub_byte_table_matches_definition(self, n):
+        for bits in range(1 << (1 << n)):
+            t = TruthTable(n, bits)
+            assert np.array_equal(walsh_transform(t).values, naive_spectrum(t))
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_parseval_sum_is_exact_past_int32(self, n):
+        for t in kernel_tables(n):
+            assert walsh_transform(t).parseval_sum() == 1 << (2 * n)
+
+    def test_constant_tables_reach_the_bound(self):
+        for bits, peak in ((0, 1 << 20), ((1 << (1 << 20)) - 1, -(1 << 20))):
+            values = walsh_transform(TruthTable(20, bits)).values
+            assert int(values[0]) == peak
+            assert np.count_nonzero(values) == 1
+
+    def test_variable_cap_fits_int32(self):
+        # every butterfly intermediate is at most 2**n in magnitude
+        assert 1 << _DEFAULT_MAX_VARS <= np.iinfo(np.int32).max
 
     def test_point_table(self):
         assert walsh_transform(TruthTable(0, 1)).values.tolist() == [-1]
