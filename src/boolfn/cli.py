@@ -2,7 +2,8 @@
 run the identity verification sweep, and benchmark the transform.
 
 stdout carries data (JSON by default), stderr carries diagnostics.
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error
+or out of memory.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -64,6 +66,15 @@ def analyze_table(t: TruthTable, spectrum: WalshSpectrum | None = None) -> Analy
     )
 
 
+@contextmanager
+def _table_memory(n: int):
+    """Name the table size in a MemoryError raised inside the block."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"out of memory on a table of {n} variables (2**{n} points)") from exc
+
+
 def _parse_table(text: str, fmt: str, expect_n: int | None) -> TruthTable:
     if fmt == "auto":
         fmt = "hex" if text.startswith(("0x", "0X")) else "binary"
@@ -75,16 +86,17 @@ def _parse_table(text: str, fmt: str, expect_n: int | None) -> TruthTable:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     t = _parse_table(args.tt, args.format, args.n)
-    spectrum = walsh_transform(t)
-    report = analyze_table(t, spectrum)
-    if args.text:
-        for key, value in report.to_dict().items():
-            print(f"{key}: {value}")
-        return 0
-    payload = report.to_dict()
-    if args.spectrum:
-        payload["walsh_spectrum"] = spectrum.values.tolist()
-    print(json.dumps(payload, indent=2))
+    with _table_memory(t.n):
+        spectrum = walsh_transform(t)
+        report = analyze_table(t, spectrum)
+        if args.text:
+            for key, value in report.to_dict().items():
+                print(f"{key}: {value}")
+            return 0
+        payload = report.to_dict()
+        if args.spectrum:
+            payload["walsh_spectrum"] = spectrum.values.tolist()
+        print(json.dumps(payload, indent=2))
     return 0
 
 
@@ -134,11 +146,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("--reps must be positive")
     rng = np.random.default_rng(args.seed)
     times = []
-    for _ in range(args.reps):
-        t = random_table(args.n, rng)
-        start = time.perf_counter()
-        walsh_transform(t)
-        times.append(time.perf_counter() - start)
+    with _table_memory(args.n):
+        for _ in range(args.reps):
+            t = random_table(args.n, rng)
+            start = time.perf_counter()
+            walsh_transform(t)
+            times.append(time.perf_counter() - start)
     print(
         json.dumps(
             {
@@ -194,8 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        # a bare MemoryError carries no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -3,9 +3,14 @@
 The spectrum entry at index w is sum over all points x of
 (-1)**(f(x) + w.x), computed by an in-place butterfly on an int32
 buffer, exact because |W| <= 2**n <= 2**30; no floating point anywhere.
-The first three passes come from a table of byte spectra, the passes
-with h < 2**14 run group by group in cache, and the rest stream over the
-whole array.  Nonlinearity comes out of the spectrum as
+The first three passes come from a table of byte spectra.  The table is
+then worked on in groups of 2**17 points, each small enough to stay in
+cache.  A group is viewed as rows of 2**8 points: the passes on the
+column bits (h = 8..128) run on a transposed copy of the group, where
+each pass covers long contiguous runs instead of runs of h points, and
+the passes on the row bits (h = 2**8..2**16) run on the group in place
+after the copy is written back.  The passes above the group stream over
+the whole array.  Nonlinearity comes out of the spectrum as
 2**(n-1) - max|W|/2, and an independent brute-force path measures the
 minimum distance over all affine tables directly.
 """
@@ -37,20 +42,33 @@ def _byte_spectra(points: int) -> np.ndarray:
     return (signs @ hadamard).astype(np.int32)
 
 
+def _word_patterns(points: int) -> np.ndarray:
+    """Row x: the linear table with in-word mask x as one 64-bit word, cut to
+    its lowest `points` bits; bit i is parity(x & i)."""
+    bit = np.arange(points, dtype=np.uint64)
+    parity = np.bitwise_count(np.arange(64, dtype=np.uint64)[:, None] & bit) & 1
+    return np.bitwise_or.reduce(parity << bit, axis=1)[:, None]
+
+
 # Indexed by min(n, 3): a table under one byte holds 1, 2 or 4 points, a
 # longer one is whole bytes of 8 points each.
 _BYTE_SPECTRA = tuple(_byte_spectra(1 << n) for n in range(4))
-# Passes with h below _LOW_PASS_LIMIT run one group of _GROUP_POINTS at a
-# time; a group (512 KiB of int32) stays in a 2 MiB per-core L2 cache.
-_LOW_PASS_LIMIT = 1 << 14
+# Indexed by min(n, 6): a table under one word holds 1, 2, 4, ..., 32 points.
+_WORD_PATTERNS = tuple(_word_patterns(1 << n) for n in range(7))
+# The passes below _GROUP_POINTS run one group at a time; a group (512 KiB
+# of int32) stays in a 2 MiB per-core L2 cache.  Within a group, seen as
+# rows of _ROW_POINTS, the passes below _ROW_POINTS run on a transposed copy.
 _GROUP_POINTS = 1 << 17
+_ROW_POINTS = 1 << 8
 
 
 def _butterfly(block: np.ndarray, h: int, stop: int) -> None:
-    """Hadamard butterfly passes h, 2h, ... below stop, in place, no scratch.
+    """Hadamard butterfly passes on strides h, 2h, ... below stop, in place,
+    no scratch.
 
-    Before pass h every entry is a sum over h points, so each intermediate
-    below, 2*bot included, is at most 2h <= 2**n in magnitude."""
+    Each pass doubles the set of points every entry sums over, and before
+    the last one that set is half the table, so each intermediate below,
+    2*bot included, is at most 2**n in magnitude."""
     while h < stop:
         view = block.reshape(-1, 2, h)
         top, bot = view[:, 0, :], view[:, 1, :]
@@ -95,11 +113,25 @@ class WalshSpectrum:
 
 def walsh_transform(t: TruthTable) -> WalshSpectrum:
     raw = np.frombuffer(t.bits.to_bytes((t.size + 7) // 8, "little"), dtype=np.uint8)
-    values = _BYTE_SPECTRA[min(t.n, 3)][raw].reshape(-1)  # passes h = 1, 2, 4 done
-    low = min(_LOW_PASS_LIMIT, t.size)
-    for start in range(0, t.size, _GROUP_POINTS):
-        _butterfly(values[start : start + _GROUP_POINTS], 8, low)
-    _butterfly(values, low, t.size)
+    spectra = _BYTE_SPECTRA[min(t.n, 3)]  # passes h = 1, 2, 4 done
+    if t.size <= _ROW_POINTS:  # one row: nothing to transpose
+        values = spectra[raw].reshape(-1)
+        _butterfly(values, 8, t.size)
+    else:
+        group_points = min(_GROUP_POINTS, t.size)
+        rows = group_points // _ROW_POINTS
+        values = np.empty(t.size, dtype=np.int32)
+        columns = np.empty((_ROW_POINTS, rows), dtype=np.int32)
+        for start in range(0, t.size, group_points):
+            group = values[start : start + group_points]
+            # per group: one whole-table take would cast every byte index to intp at once
+            np.take(spectra, raw[start // 8 : (start + group_points) // 8], axis=0, out=group.reshape(-1, 8))
+            grid = group.reshape(rows, _ROW_POINTS)
+            np.copyto(columns, grid.T)
+            _butterfly(columns.reshape(-1), 8 * rows, group_points)
+            np.copyto(grid, columns.T)
+            _butterfly(group, _ROW_POINTS, group_points)
+        _butterfly(values, group_points, t.size)
     values.setflags(write=False)
     return WalshSpectrum(t.n, values)
 
@@ -112,20 +144,23 @@ def nonlinearity(t: TruthTable) -> int:
 def brute_force_nonlinearity(t: TruthTable) -> int:
     """Minimum distance over all 2**(n+1) affine tables, measured directly.
 
-    Walks the linear masks in Gray-code order so each step is one packed
-    XOR against a single-variable pattern plus a popcount.
+    Reads the table as 64-bit words and walks the masks of the word-index
+    variables in Gray-code order, so each step is one XOR over the words;
+    one popcount per word then gives the distances to all 64 in-word masks
+    at once, and their complements.
     """
     if not 1 <= t.n <= _BRUTE_FORCE_MAX_VARS:
         raise ValueError(f"brute force supports 1..{_BRUTE_FORCE_MAX_VARS} variables, got {t.n}")
     size = t.size
-    patterns = [_variable_pattern(j, size) for j in range(t.n)]
-    linear = 0
-    d = t.bits.bit_count()
-    best = min(d, size - d)
-    for gray in range(1, size):
-        linear ^= patterns[(gray & -gray).bit_length() - 1]
-        d = (t.bits ^ linear).bit_count()
-        best = min(best, d, size - d)
+    words = np.frombuffer(bytearray(t.bits.to_bytes(max(size, 64) // 8, "little")), dtype="<u8")
+    patterns = _WORD_PATTERNS[min(t.n, 6)]
+    best = size
+    for gray in range(words.size):
+        if gray:  # complement the words whose index has the changed variable set
+            flipped = words.reshape(-1, 2, gray & -gray)[:, 1]
+            np.invert(flipped, out=flipped)
+        d = np.bitwise_count(words ^ patterns).sum(axis=1)
+        best = min(best, int(d.min()), size - int(d.max()))
     return best
 
 

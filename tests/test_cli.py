@@ -199,3 +199,24 @@ class TestParser:
         code, out, err = run(capsys, "analyze", "--tt", "0110")
         assert code == 2 and out == ""
         assert err == f"error: BOOLFN_MAX_N must be an integer in 0..30, got {value!r}\n"
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("argv", [["analyze", "--tt", MAJ5], ["bench", "5", "--reps", "2"]])
+    def test_exits_2_naming_the_variable_count(self, capsys, monkeypatch, argv):
+        def exhausted(table):
+            raise MemoryError("Unable to allocate 128. B for an array with shape (32,) and data type int32")
+
+        monkeypatch.setattr(importlib.import_module("boolfn.cli"), "walsh_transform", exhausted)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: out of memory on a table of 5 variables (2**5 points)\n"
+
+    def test_bare_memory_error_exits_2(self, capsys, monkeypatch):
+        def exhausted(k):
+            raise MemoryError
+
+        monkeypatch.setattr(importlib.import_module("boolfn.majority"), "majority_report", exhausted)
+        code, out, err = run(capsys, "verify", "--max-k", "4")
+        assert code == 2 and out == ""
+        assert err == "error: out of memory\n"

@@ -72,9 +72,10 @@ class TestWalshTransform:
         with pytest.raises(ValueError):
             spectrum.values[0] = 99
 
-    # 13..18 fall on both sides of the blocked low passes (h < 2**14) and
-    # of the 2**17-point row groups
-    @pytest.mark.parametrize("n", [13, 14, 15, 17, 18])
+    # n = 8 is one 2**8-point row and skips the transpose, n = 9 is a group
+    # of two rows; n = 16, 17 and 18 are part of a 2**17-point group, one
+    # group and two groups
+    @pytest.mark.parametrize("n", [4, 8, 9, 13, 14, 15, 16, 17, 18])
     def test_matches_int64_butterfly(self, n):
         for t in kernel_tables(n):
             assert np.array_equal(walsh_transform(t).values, butterfly_int64(t))
@@ -141,7 +142,8 @@ class TestNonlinearity:
         with pytest.raises(ValueError):
             brute_force_nonlinearity(TruthTable(17, 0))
 
-    @given(truth_tables(min_n=2, max_n=5))
+    # n = 1..8 crosses the 64-point word at n = 6
+    @given(truth_tables(min_n=1, max_n=8))
     @settings(max_examples=40)
     def test_brute_force_is_min_over_affine_enumeration(self, t):
         best = min(
@@ -150,6 +152,15 @@ class TestNonlinearity:
             for c in (0, 1)
         )
         assert brute_force_nonlinearity(t) == best
+
+    @given(truth_tables(min_n=1, max_n=10), st.data())
+    @settings(max_examples=60)
+    def test_adding_an_affine_table_keeps_nonlinearity(self, t, data):
+        mask = data.draw(st.integers(0, t.size - 1))
+        shifted = t ^ affine_table(AffineSpec(mask, data.draw(st.sampled_from((0, 1)))), t.n)
+        assert nonlinearity(shifted) == nonlinearity(t)
+        if t.n <= 8:
+            assert brute_force_nonlinearity(shifted) == nonlinearity(t)
 
 
 class TestAffineTables:
