@@ -169,7 +169,10 @@ def majority_report(k: int) -> MajorityReport:
     m = majority(k)
     a, b = m.halves()
     weight = m.weight()
-    measured = walsh_transform(m).nonlinearity()
+    spectrum = walsh_transform(m)  # the one transform: the halves' spectra come from it
+    measured = spectrum.nonlinearity()
+    w_a, w_b = spectrum.halves()  # after N(m) has freed its |W| buffer
+    del spectrum  # so the halves' |W| buffers never sit beside it
     predicted = predicted_nonlinearity(k)
 
     checks: list[IdentityResult] = []
@@ -187,15 +190,17 @@ def majority_report(k: int) -> MajorityReport:
     if k % 2:
         n = (k - 1) // 2
         prev = majority(k - 1)
-        add("odd_from_even_decomposition", m == concat(prev.complement().reverse(), prev))
+        decomposed = m == concat(prev.complement().reverse(), prev)
+        add("odd_from_even_decomposition", decomposed)
         add("right_half_is_reversed_complement", b == a.complement().reverse())
         add("odd_majority_balanced", weight == 1 << (2 * n))
         add("left_half_weight_formula", a.weight() == predicted_left_half_weight(n))
 
-        nl_left = walsh_transform(a).nonlinearity()
+        nl_left = w_a.nonlinearity()
         add("mirror_extension_doubles_nonlinearity", measured == 2 * nl_left)
 
-        nl_prev = walsh_transform(prev).nonlinearity()
+        # the decomposition proves b == prev; only then is b's spectrum prev's
+        nl_prev = (w_b if decomposed else walsh_transform(prev)).nonlinearity()
         add(
             "left_half_weight_equals_nonlinearity",
             nl_left == nl_prev and nl_left == a.weight(),
@@ -217,7 +222,7 @@ def majority_report(k: int) -> MajorityReport:
             first, second = _right_half_nonlinearity_forms(n)
             add("right_half_closed_forms_agree", first == second)
 
-            nl_right = walsh_transform(b).nonlinearity()
+            nl_right = w_b.nonlinearity()
             right_ok = nl_right == first and mirrored.weight() == first
             if k - 1 <= _BRUTE_FORCE_MAX_K:
                 right_ok = right_ok and brute_force_nonlinearity(b) == first

@@ -9,10 +9,13 @@ cache.  A group is viewed as rows of 2**8 points: the passes on the
 column bits (h = 8..128) run on a transposed copy of the group, where
 each pass covers long contiguous runs instead of runs of h points, and
 the passes on the row bits (h = 2**8..2**16) run on the group in place
-after the copy is written back.  The passes above the group stream over
-the whole array.  Nonlinearity comes out of the spectrum as
-2**(n-1) - max|W|/2, and an independent brute-force path measures the
-minimum distance over all affine tables directly.
+after the copy is written back.  Above the group the table is a grid of
+rows of 2**17 points, and the remaining passes run down its columns:
+each strip of columns, one group's worth of points, is copied into a
+contiguous buffer, transformed there and written back.  Nonlinearity
+comes out of the spectrum as 2**(n-1) - max|W|/2, and an independent
+brute-force path measures the minimum distance over all affine tables
+directly.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ def _word_patterns(points: int) -> np.ndarray:
 _BYTE_SPECTRA = tuple(_byte_spectra(1 << n) for n in range(4))
 # Indexed by min(n, 6): a table under one word holds 1, 2, 4, ..., 32 points.
 _WORD_PATTERNS = tuple(_word_patterns(1 << n) for n in range(7))
-# The passes below _GROUP_POINTS run one group at a time; a group (512 KiB
+# The passes below _GROUP_POINTS run one group at a time, and the passes
+# above it one strip of columns of the same size at a time; a group (512 KiB
 # of int32) stays in a 2 MiB per-core L2 cache.  Within a group, seen as
 # rows of _ROW_POINTS, the passes below _ROW_POINTS run on a transposed copy.
 _GROUP_POINTS = 1 << 17
@@ -110,6 +114,22 @@ class WalshSpectrum:
             raise ValueError("nonlinearity needs at least one variable")
         return (1 << (self.n - 1)) - self.max_abs() // 2
 
+    def halves(self) -> tuple[WalshSpectrum, WalshSpectrum]:
+        """Spectra of the table's two halves (see TruthTable.halves).
+
+        With the values split as (lo, hi) on the top index bit, lo = W_a + W_b
+        and hi = W_a - W_b, so W_a = (lo + hi) / 2 and W_b = (lo - hi) / 2.
+        lo + hi and lo - hi are twice a half's spectrum, at most 2**n <= 2**30
+        in magnitude, so the int32 sums are exact."""
+        if self.n == 0:
+            raise ValueError("cannot halve a spectrum on zero variables")
+        lo, hi = self.values.reshape(2, -1)
+        left, right = lo + hi, lo - hi
+        for values in (left, right):
+            values >>= 1
+            values.setflags(write=False)
+        return WalshSpectrum(self.n - 1, left), WalshSpectrum(self.n - 1, right)
+
 
 def walsh_transform(t: TruthTable) -> WalshSpectrum:
     raw = np.frombuffer(t.bits.to_bytes((t.size + 7) // 8, "little"), dtype=np.uint8)
@@ -131,7 +151,16 @@ def walsh_transform(t: TruthTable) -> WalshSpectrum:
             _butterfly(columns.reshape(-1), 8 * rows, group_points)
             np.copyto(grid, columns.T)
             _butterfly(group, _ROW_POINTS, group_points)
-        _butterfly(values, group_points, t.size)
+        groups = t.size // group_points
+        if groups > 1:  # the passes above the group, one strip of columns at a time
+            width = group_points // groups
+            grid = values.reshape(groups, group_points)
+            strip = columns.reshape(groups, width)
+            for start in range(0, group_points, width):
+                block = grid[:, start : start + width]
+                np.copyto(strip, block)
+                _butterfly(strip.reshape(-1), width, group_points)
+                np.copyto(block, strip)
     values.setflags(write=False)
     return WalshSpectrum(t.n, values)
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import pytest
 
 from boolfn import (
     VERIFY_MAX_K,
+    TruthTable,
     binomial,
     first_quarter,
     left_half,
@@ -153,3 +155,31 @@ class TestReports:
         names = {r.name for rep in reports for r in rep.identities}
         assert "odd_from_even_decomposition" in names
         assert "right_half_nonlinearity_formula" in names
+
+    def test_previous_spectrum_is_reused_only_after_the_decomposition_holds(self, monkeypatch):
+        module = importlib.import_module("boolfn.majority")  # boolfn.majority is the function
+        build = module.majority
+
+        def corrupted(k):
+            # majority(8), which majority_report(9) builds as the previous table, is
+            # replaced by the zero table: its nonlinearity is 0, not 93 = N(left half)
+            return TruthTable(k, 0) if k == 8 else build(k)
+
+        monkeypatch.setattr(module, "majority", corrupted)
+        outcome = {r.name: r.passed for r in majority_report(9).identities}
+        assert not outcome["odd_from_even_decomposition"]
+        assert not outcome["left_half_weight_equals_nonlinearity"]
+
+    def test_one_transform_per_report(self, monkeypatch):
+        module = importlib.import_module("boolfn.majority")
+        calls = []
+        transform = module.walsh_transform
+
+        def counted(t):
+            calls.append(t.n)
+            return transform(t)
+
+        monkeypatch.setattr(module, "walsh_transform", counted)
+        reports = verify_identities(12)
+        assert all(rep.all_passed() for rep in reports)
+        assert calls == list(range(4, 13))

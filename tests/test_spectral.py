@@ -14,6 +14,7 @@ from boolfn import (
     brute_force_nonlinearity,
     check_weight_equals_nonlinearity,
     from_bitstring,
+    majority,
     nonlinearity,
     random_table,
     walsh_transform,
@@ -73,9 +74,10 @@ class TestWalshTransform:
             spectrum.values[0] = 99
 
     # n = 8 is one 2**8-point row and skips the transpose, n = 9 is a group
-    # of two rows; n = 16, 17 and 18 are part of a 2**17-point group, one
-    # group and two groups
-    @pytest.mark.parametrize("n", [4, 8, 9, 13, 14, 15, 16, 17, 18])
+    # of two rows; n = 16 and 17 are part of a 2**17-point group and one
+    # group, with no pass above the group; n = 18..21 are 2, 4, 8 and 16
+    # groups, whose passes above the group run on strips of columns
+    @pytest.mark.parametrize("n", [4, 8, 9, 13, 14, 15, 16, 17, 18, 19, 20, 21])
     def test_matches_int64_butterfly(self, n):
         for t in kernel_tables(n):
             assert np.array_equal(walsh_transform(t).values, butterfly_int64(t))
@@ -118,6 +120,30 @@ class TestWalshTransform:
         spectrum = walsh_transform(t)
         assert spectrum.max_abs() == top
         assert spectrum.max_abs_index() == next(i for i, v in enumerate(values) if abs(v) == top)
+
+
+class TestSpectrumHalves:
+    @given(truth_tables(min_n=1, max_n=12))
+    @settings(max_examples=60)
+    def test_matches_transform_of_each_half(self, t):
+        for half, table in zip(walsh_transform(t).halves(), t.halves()):
+            assert half.n == t.n - 1
+            assert np.array_equal(half.values, walsh_transform(table).values)
+
+    @pytest.mark.parametrize("k", [10, 15, 20])
+    def test_majority_halves(self, k):
+        m = majority(k)
+        for half, table in zip(walsh_transform(m).halves(), m.halves()):
+            assert np.array_equal(half.values, walsh_transform(table).values)
+
+    def test_needs_a_variable(self):
+        with pytest.raises(ValueError):
+            walsh_transform(TruthTable(0, 1)).halves()
+
+    def test_values_are_read_only(self):
+        for half in walsh_transform(from_bitstring("0110")).halves():
+            with pytest.raises(ValueError):
+                half.values[0] = 99
 
 
 class TestNonlinearity:
