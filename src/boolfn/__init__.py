@@ -26,6 +26,7 @@ from .majority import (
     predicted_right_half_nonlinearity,
     right_half,
     run_length_string,
+    threshold,
     verify_identities,
 )
 from .spectral import (
@@ -35,6 +36,7 @@ from .spectral import (
     affine_table,
     brute_force_nonlinearity,
     check_weight_equals_nonlinearity,
+    concat_nonlinearity,
     nonlinearity,
     walsh_transform,
 )
@@ -65,6 +67,7 @@ __all__ = [
     "brute_force_nonlinearity",
     "check_weight_equals_nonlinearity",
     "concat",
+    "concat_nonlinearity",
     "degree",
     "first_quarter",
     "from_bitstring",
@@ -84,6 +87,7 @@ __all__ = [
     "random_table",
     "right_half",
     "run_length_string",
+    "threshold",
     "to_anf",
     "verify_identities",
     "walsh_transform",

@@ -20,43 +20,63 @@ from itertools import groupby
 
 import numpy as np
 
-from .spectral import brute_force_nonlinearity, walsh_transform
+from .spectral import brute_force_nonlinearity, concat_nonlinearity, walsh_transform
 from .truthtable import TruthTable, concat, max_vars
 
 VERIFY_MAX_K = 24  # spectrum-verified range; closed forms alone go to BINOMIAL_MAX
 BINOMIAL_MAX = 64
 _BRUTE_FORCE_MAX_K = 15
-_BUILD_CHUNK = 1 << 20
+
+
+def threshold(n: int, t: int) -> TruthTable:
+    """Truth table on n variables that is 1 iff the input weight is >= t,
+    for t in 0..n + 1.
+
+    Byte j of the packed table holds points 8j..8j+7, whose weights are
+    popcount(j) plus the weights of the low three index bits, so the byte
+    depends only on popcount(j): one packed row per high popcount, gathered
+    in one take.  A table under 8 points packs only its own points."""
+    if not 0 <= n <= max_vars():
+        raise ValueError(f"variable count {n} outside 0..{max_vars()}")
+    if not 0 <= t <= n + 1:
+        raise ValueError(f"threshold {t} outside 0..{n + 1}")
+    size = 1 << n
+    low = np.bitwise_count(np.arange(min(size, 8)))
+    high = np.arange(max(n - 3, 0) + 1)[:, None]
+    rows = np.packbits(low + high >= t, axis=1, bitorder="little").reshape(-1)
+    packed = rows[np.bitwise_count(np.arange((size + 7) // 8, dtype=np.uint32))]
+    return TruthTable(n, int.from_bytes(packed.tobytes(), "little"))
+
+
+def _majority_threshold(k: int) -> int:
+    """ceil(k/2), for k in 1..max_vars()."""
+    if not 1 <= k <= max_vars():
+        raise ValueError(f"variable count {k} outside 1..{max_vars()}")
+    return (k + 1) // 2
 
 
 def majority(k: int) -> TruthTable:
     """Truth table of the k-variable majority vote: 1 iff weight >= ceil(k/2)."""
-    if not 1 <= k <= max_vars():
-        raise ValueError(f"variable count {k} outside 1..{max_vars()}")
-    threshold = (k + 1) // 2
-    size = 1 << k
-    packed = bytearray()
-    for start in range(0, size, _BUILD_CHUNK):
-        idx = np.arange(start, min(start + _BUILD_CHUNK, size), dtype=np.uint32)
-        packed += np.packbits(np.bitwise_count(idx) >= threshold, bitorder="little").tobytes()
-    return TruthTable(k, int.from_bytes(packed, "little"))
+    return threshold(k, _majority_threshold(k))
 
 
 def left_half(k: int) -> TruthTable:
-    return majority(k).halves()[0]
+    """First half of majority(k): x_1 = 0, so the other k - 1 inputs need ceil(k/2)."""
+    return threshold(k - 1, _majority_threshold(k))
 
 
 def right_half(k: int) -> TruthTable:
-    return majority(k).halves()[1]
+    """Second half of majority(k): x_1 = 1, so the other k - 1 inputs need one fewer."""
+    return threshold(k - 1, _majority_threshold(k) - 1)
 
 
 def first_quarter(k: int) -> TruthTable:
-    """First quarter of the majority table; defined for odd k >= 5."""
+    """First quarter of the majority table (x_1 = x_2 = 0); defined for odd k >= 5."""
     if k % 2 == 0:
         raise ValueError("first quarter is defined for odd variable counts")
     if k < 5:
         raise ValueError("first quarter needs at least five variables")
-    return left_half(k).halves()[0]
+    return threshold(k - 2, _majority_threshold(k))
 
 
 def binomial(a: int, b: int) -> int:
@@ -169,10 +189,9 @@ def majority_report(k: int) -> MajorityReport:
     m = majority(k)
     a, b = m.halves()
     weight = m.weight()
-    spectrum = walsh_transform(m)  # the one transform: the halves' spectra come from it
-    measured = spectrum.nonlinearity()
-    w_a, w_b = spectrum.halves()  # after N(m) has freed its |W| buffer
-    del spectrum  # so the halves' |W| buffers never sit beside it
+    # N(m) from its halves' spectra: m's own 2**k-point spectrum is never built
+    w_a, w_b = walsh_transform(a), walsh_transform(b)
+    measured = concat_nonlinearity(w_a, w_b)
     predicted = predicted_nonlinearity(k)
 
     checks: list[IdentityResult] = []

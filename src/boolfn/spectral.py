@@ -13,9 +13,14 @@ after the copy is written back.  Above the group the table is a grid of
 rows of 2**17 points, and the remaining passes run down its columns:
 each strip of columns, one group's worth of points, is copied into a
 contiguous buffer, transformed there and written back.  Nonlinearity
-comes out of the spectrum as 2**(n-1) - max|W|/2, and an independent
-brute-force path measures the minimum distance over all affine tables
-directly.
+comes out of the spectrum as 2**(n-1) - max|W|/2.  The peak max|W| is
+also taken one group at a time: |W| of each group goes into one reused
+buffer of at most 2**17 int32, and a running (peak, index) pair keeps
+the first group's index on ties, so no full-size |W| copy is made.  The
+nonlinearity of a concatenation comes the same way from the spectra of
+its two halves, whose sum and difference are its own spectrum.  An
+independent brute-force path measures the minimum distance over all
+affine tables directly.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .truthtable import TruthTable
+from .truthtable import TruthTable, max_vars
 
 _BRUTE_FORCE_MAX_VARS = 16
 
@@ -59,8 +64,9 @@ _BYTE_SPECTRA = tuple(_byte_spectra(1 << n) for n in range(4))
 # Indexed by min(n, 6): a table under one word holds 1, 2, 4, ..., 32 points.
 _WORD_PATTERNS = tuple(_word_patterns(1 << n) for n in range(7))
 # The passes below _GROUP_POINTS run one group at a time, and the passes
-# above it one strip of columns of the same size at a time; a group (512 KiB
-# of int32) stays in a 2 MiB per-core L2 cache.  Within a group, seen as
+# above it one strip of columns of the same size at a time; the |W| peaks
+# read the spectrum in chunks of the same size.  A group (512 KiB of int32)
+# stays in a 2 MiB per-core L2 cache.  Within a group, seen as
 # rows of _ROW_POINTS, the passes below _ROW_POINTS run on a transposed copy.
 _GROUP_POINTS = 1 << 17
 _ROW_POINTS = 1 << 8
@@ -91,11 +97,20 @@ class WalshSpectrum:
 
     @cached_property
     def _peak(self) -> tuple[int, int]:
-        """max|W| and the smallest index attaining it, from one |W| pass."""
-        # argmax on the writable |W| buffer: on the read-only values it copies
-        magnitudes = np.abs(self.values)
-        at = int(magnitudes.argmax())
-        return int(magnitudes[at]), at
+        """max|W| and the smallest index attaining it, one group at a time."""
+        size = self.values.size
+        group = min(size, _GROUP_POINTS)
+        # |W| of one group: the first allocates the buffer, the rest reuse it
+        # (argmax on the read-only values would copy them)
+        magnitudes = None
+        peak = at = -1
+        for start in range(0, size, group):
+            magnitudes = np.abs(self.values[start : start + group], out=magnitudes)
+            i = int(magnitudes.argmax())
+            top = int(magnitudes[i])
+            if top > peak:  # strictly: on a tie the earlier group keeps the index
+                peak, at = top, start + i
+        return peak, at
 
     def max_abs(self) -> int:
         return self._peak[0]
@@ -114,22 +129,6 @@ class WalshSpectrum:
             raise ValueError("nonlinearity needs at least one variable")
         return (1 << (self.n - 1)) - self.max_abs() // 2
 
-    def halves(self) -> tuple[WalshSpectrum, WalshSpectrum]:
-        """Spectra of the table's two halves (see TruthTable.halves).
-
-        With the values split as (lo, hi) on the top index bit, lo = W_a + W_b
-        and hi = W_a - W_b, so W_a = (lo + hi) / 2 and W_b = (lo - hi) / 2.
-        lo + hi and lo - hi are twice a half's spectrum, at most 2**n <= 2**30
-        in magnitude, so the int32 sums are exact."""
-        if self.n == 0:
-            raise ValueError("cannot halve a spectrum on zero variables")
-        lo, hi = self.values.reshape(2, -1)
-        left, right = lo + hi, lo - hi
-        for values in (left, right):
-            values >>= 1
-            values.setflags(write=False)
-        return WalshSpectrum(self.n - 1, left), WalshSpectrum(self.n - 1, right)
-
 
 def walsh_transform(t: TruthTable) -> WalshSpectrum:
     raw = np.frombuffer(t.bits.to_bytes((t.size + 7) // 8, "little"), dtype=np.uint8)
@@ -144,8 +143,10 @@ def walsh_transform(t: TruthTable) -> WalshSpectrum:
         columns = np.empty((_ROW_POINTS, rows), dtype=np.int32)
         for start in range(0, t.size, group_points):
             group = values[start : start + group_points]
-            # per group: one whole-table take would cast every byte index to intp at once
-            np.take(spectra, raw[start // 8 : (start + group_points) // 8], axis=0, out=group.reshape(-1, 8))
+            # per group: one whole-table take would cast every byte index to intp at once;
+            # clip, unlike raise, writes to out unbuffered, and a uint8 index into 256 rows is never clipped
+            index = raw[start // 8 : (start + group_points) // 8]
+            np.take(spectra, index, axis=0, out=group.reshape(-1, 8), mode="clip")
             grid = group.reshape(rows, _ROW_POINTS)
             np.copyto(columns, grid.T)
             _butterfly(columns.reshape(-1), 8 * rows, group_points)
@@ -163,6 +164,30 @@ def walsh_transform(t: TruthTable) -> WalshSpectrum:
                 np.copyto(block, strip)
     values.setflags(write=False)
     return WalshSpectrum(t.n, values)
+
+
+def concat_nonlinearity(left: WalshSpectrum, right: WalshSpectrum) -> int:
+    """Nonlinearity of concat(a, b), from the spectra of a and b on n
+    variables each, with no 2**(n+1)-point array.
+
+    The last butterfly pass of concat(a, b) gives W(0||w) = W_a(w) + W_b(w)
+    and W(1||w) = W_a(w) - W_b(w), so its max|W| is the largest
+    |W_a(w)| + |W_b(w)|.  That sum is taken one group at a time in two
+    reused int32 buffers, exact because |W_a| + |W_b| <= 2**(n+1) <= 2**30."""
+    if left.n != right.n:
+        raise ValueError(f"variable counts differ: {left.n} vs {right.n}")
+    if left.n + 1 > max_vars():  # as concat would refuse it; the bound needs n + 1 <= 30
+        raise ValueError(f"variable count {left.n + 1} outside 0..{max_vars()}")
+    size = left.values.size
+    group = min(size, _GROUP_POINTS)
+    total = other = None  # allocated by the first group, reused by the rest
+    peak = 0
+    for start in range(0, size, group):
+        total = np.abs(left.values[start : start + group], out=total)
+        other = np.abs(right.values[start : start + group], out=other)
+        total += other
+        peak = max(peak, int(total.max()))
+    return (1 << left.n) - peak // 2
 
 
 def nonlinearity(t: TruthTable) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import math
 
+import numpy as np
 import pytest
 
 from boolfn import (
@@ -21,7 +22,9 @@ from boolfn import (
     predicted_right_half_nonlinearity,
     right_half,
     run_length_string,
+    threshold,
     verify_identities,
+    walsh_transform,
 )
 
 MAJ5 = "00000001000101110001011101111111"
@@ -58,6 +61,21 @@ class TestConstruction:
         assert majority(k).is_balanced()
 
 
+class TestThreshold:
+    @pytest.mark.parametrize("n", range(11))
+    def test_popcount_definition(self, n):
+        weights = np.bitwise_count(np.arange(1 << n))
+        for t in range(n + 2):
+            table = threshold(n, t)
+            assert table.n == n
+            assert np.array_equal(table.to_array(), weights >= t)
+
+    def test_rejects_out_of_range(self):
+        for n, t in ((3, -1), (3, 5), (-1, 0), (31, 0)):
+            with pytest.raises(ValueError):
+                threshold(n, t)
+
+
 class TestHalves:
     @pytest.mark.parametrize("k", [4, 5, 6, 7, 10])
     def test_halves_recombine(self, k):
@@ -67,6 +85,14 @@ class TestHalves:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_odd_right_half_is_previous_majority(self, n):
         assert right_half(2 * n + 1) == majority(2 * n)
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_pieces_are_halves_of_majority(self, k):
+        a, b = majority(k).halves()
+        assert left_half(k) == a
+        assert right_half(k) == b
+        if k % 2 and k >= 5:
+            assert first_quarter(k) == a.halves()[0]
 
     def test_first_quarter_domain(self):
         assert first_quarter(7).size == 32
@@ -171,6 +197,7 @@ class TestReports:
         assert not outcome["left_half_weight_equals_nonlinearity"]
 
     def test_one_transform_per_report(self, monkeypatch):
+        # one transform of each half: N(m) comes from the halves' spectra
         module = importlib.import_module("boolfn.majority")
         calls = []
         transform = module.walsh_transform
@@ -182,4 +209,9 @@ class TestReports:
         monkeypatch.setattr(module, "walsh_transform", counted)
         reports = verify_identities(12)
         assert all(rep.all_passed() for rep in reports)
-        assert calls == list(range(4, 13))
+        assert calls == [k - 1 for k in range(4, 13) for _ in range(2)]
+
+    @pytest.mark.parametrize("k", range(16, 21))
+    def test_nonlinearity_equals_direct_transform(self, k):
+        # past the oracle's range, the report's N(m) against m's own spectrum
+        assert majority_report(k).nonlinearity == walsh_transform(majority(k)).nonlinearity()

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from boolfn import (
     AffineSpec,
     TruthTable,
+    WalshSpectrum,
     affine_table,
     brute_force_nonlinearity,
     check_weight_equals_nonlinearity,
+    concat,
+    concat_nonlinearity,
     from_bitstring,
-    majority,
     nonlinearity,
     random_table,
     walsh_transform,
@@ -122,28 +124,66 @@ class TestWalshTransform:
         assert spectrum.max_abs_index() == next(i for i, v in enumerate(values) if abs(v) == top)
 
 
-class TestSpectrumHalves:
-    @given(truth_tables(min_n=1, max_n=12))
-    @settings(max_examples=60)
-    def test_matches_transform_of_each_half(self, t):
-        for half, table in zip(walsh_transform(t).halves(), t.halves()):
-            assert half.n == t.n - 1
-            assert np.array_equal(half.values, walsh_transform(table).values)
+class TestGroupedPeak:
+    """Hand-made values at n = 18 and 19: two and four 2**17-point groups."""
 
-    @pytest.mark.parametrize("k", [10, 15, 20])
-    def test_majority_halves(self, k):
-        m = majority(k)
-        for half, table in zip(walsh_transform(m).halves(), m.halves()):
-            assert np.array_equal(half.values, walsh_transform(table).values)
+    @staticmethod
+    def spectrum(n, entries):
+        values = np.zeros(1 << n, dtype=np.int32)
+        for at, value in entries.items():
+            values[at] = value
+        values.setflags(write=False)
+        return WalshSpectrum(n, values)
 
-    def test_needs_a_variable(self):
+    @pytest.mark.parametrize("n", [18, 19])
+    def test_peak_in_a_later_group(self, n):
+        last = (1 << n) - 1
+        spectrum = self.spectrum(n, {5: 7, (1 << 17) + 3: -8, last: 9})
+        assert (spectrum.max_abs(), spectrum.max_abs_index()) == (9, last)
+        spectrum = self.spectrum(n, {5: 7, (1 << 17) + 3: -8})
+        assert (spectrum.max_abs(), spectrum.max_abs_index()) == (8, (1 << 17) + 3)
+
+    @pytest.mark.parametrize("n", [18, 19])
+    def test_tie_across_groups_keeps_the_smallest_index(self, n):
+        spectrum = self.spectrum(n, {1: 5, 9: 12, (1 << 17) + 2: -12, (1 << n) - 2: 12})
+        assert (spectrum.max_abs(), spectrum.max_abs_index()) == (12, 9)
+        spectrum = self.spectrum(n, {1: 5, (1 << 17) + 9: -12, (1 << n) - 2: 12})
+        assert (spectrum.max_abs(), spectrum.max_abs_index()) == (12, (1 << 17) + 9)
+
+    @pytest.mark.parametrize("n", [18, 19])
+    def test_negative_peak(self, n):
+        spectrum = self.spectrum(n, {0: 3, (1 << n) - 5: -(1 << 10)})
+        assert (spectrum.max_abs(), spectrum.max_abs_index()) == (1 << 10, (1 << n) - 5)
+        assert spectrum.nonlinearity() == (1 << (n - 1)) - (1 << 9)
+
+
+class TestConcatNonlinearity:
+    @given(st.integers(0, 10), st.data())
+    @settings(max_examples=80)
+    def test_equals_nonlinearity_of_the_concatenation(self, n, data):
+        a, b = (data.draw(truth_tables(min_n=n, max_n=n)) for _ in range(2))
+        expected = walsh_transform(concat(a, b)).nonlinearity()
+        assert concat_nonlinearity(walsh_transform(a), walsh_transform(b)) == expected
+
+    # one group, one group, two groups; the linear table's peak is its last index
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    def test_random_tables(self, n):
+        rng = np.random.default_rng(n)
+        a, b = random_table(n, rng), random_table(n, rng)
+        linear = affine_table(AffineSpec((1 << n) - 1, 0), n)
+        for left, right in ((a, b), (b, a), (a, a.complement()), (a, linear), (linear, b)):
+            expected = walsh_transform(concat(left, right)).nonlinearity()
+            assert concat_nonlinearity(walsh_transform(left), walsh_transform(right)) == expected
+
+    def test_variable_counts_must_match(self):
+        with pytest.raises(ValueError, match="variable counts differ: 3 vs 4"):
+            concat_nonlinearity(walsh_transform(TruthTable(3, 0)), walsh_transform(TruthTable(4, 0)))
+
+    def test_concatenation_must_fit_the_cap(self, monkeypatch):
+        halves = walsh_transform(TruthTable(3, 0)), walsh_transform(TruthTable(3, 1))
+        monkeypatch.setenv("BOOLFN_MAX_N", "3")
         with pytest.raises(ValueError):
-            walsh_transform(TruthTable(0, 1)).halves()
-
-    def test_values_are_read_only(self):
-        for half in walsh_transform(from_bitstring("0110")).halves():
-            with pytest.raises(ValueError):
-                half.values[0] = 99
+            concat_nonlinearity(*halves)
 
 
 class TestNonlinearity:
