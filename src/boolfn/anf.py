@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .truthtable import TruthTable, unpack_bits
+from .truthtable import TruthTable, _low_mask, unpack_bits
 
 
 def _mobius(bits: int, n: int) -> int:
@@ -21,13 +21,7 @@ def _mobius(bits: int, n: int) -> int:
     size = 1 << n
     block = 1
     while block < size:
-        # low `block` bits of every 2*block-bit group, built by doubling
-        low_mask = (1 << block) - 1
-        width = 2 * block
-        while width < size:
-            low_mask |= low_mask << width
-            width <<= 1
-        bits ^= (bits & low_mask) << block
+        bits ^= (bits & _low_mask(block, size)) << block
         block <<= 1
     return bits
 

@@ -12,7 +12,6 @@ against measured values.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -176,9 +175,6 @@ class MajorityReport:
             "identities": [{"name": r.name, "pass": r.passed} for r in self.identities],
             "oracle": self.oracle,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def majority_report(k: int) -> MajorityReport:

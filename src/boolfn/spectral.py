@@ -5,22 +5,23 @@ The spectrum entry at index w is sum over all points x of
 buffer, exact because |W| <= 2**n <= 2**30; no floating point anywhere.
 The first three passes come from a table of byte spectra.  The table is
 then worked on in groups of 2**17 points, each small enough to stay in
-cache.  A group is viewed as rows of 2**8 points: the passes on the
-column bits (h = 8..128) run on a transposed copy of the group, where
-each pass covers long contiguous runs instead of runs of h points, and
-the passes on the row bits (h = 2**8..2**16) run on the group in place
-after the copy is written back.  Above the group the table is a grid of
-rows of 2**17 points, and the remaining passes run down its columns:
-each strip of columns, one group's worth of points, is copied into a
-contiguous buffer, transformed there and written back.  Nonlinearity
-comes out of the spectrum as 2**(n-1) - max|W|/2.  The peak max|W| is
-also taken one group at a time: |W| of each group goes into one reused
-buffer of at most 2**17 int32, and a running (peak, index) pair keeps
-the first group's index on ties, so no full-size |W| copy is made.  The
-nonlinearity of a concatenation comes the same way from the spectra of
-its two halves, whose sum and difference are its own spectrum.  An
-independent brute-force path measures the minimum distance over all
-affine tables directly.
+cache.  One strip routine runs butterfly passes down the columns of a
+2-D view: it copies a strip of columns into one reused contiguous buffer
+of a group's size, transforms it there and writes it back.  A group seen
+as rows of 2**8 points gets its column-bit passes (h = 8..128) as one
+strip of its transpose, where each pass covers long contiguous runs
+instead of runs of h points; the row-bit passes (h = 2**8..2**16) then
+run on the group in place.  Above the group the table is a grid of rows
+of 2**17 points, and the same routine runs the remaining passes down its
+columns.  Nonlinearity comes out of the spectrum as 2**(n-1) - max|W|/2.
+One grouped walk takes every peak: the largest sum of |W| over one or
+more spectra, read one group at a time into reused buffers of at most
+2**17 int32, with a running (peak, index) pair that keeps the first
+group's index on ties, so no full-size |W| copy is made.  max|W| is that
+walk over one spectrum, and the nonlinearity of a concatenation is that
+walk over the spectra of its two halves, whose sum and difference are
+its own spectrum.  An independent brute-force path measures the minimum
+distance over all affine tables directly.
 """
 
 from __future__ import annotations
@@ -30,16 +31,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .truthtable import TruthTable, max_vars
+from .truthtable import TruthTable, _low_mask, max_vars
 
 _BRUTE_FORCE_MAX_VARS = 16
-
-
-def _variable_pattern(j: int, size: int) -> int:
-    """Packed table of the single-variable function x -> bit j of x."""
-    block = 1 << j
-    unit = ((1 << block) - 1) << block
-    return unit * (((1 << size) - 1) // ((1 << (2 * block)) - 1))
 
 
 def _byte_spectra(points: int) -> np.ndarray:
@@ -63,29 +57,68 @@ def _word_patterns(points: int) -> np.ndarray:
 _BYTE_SPECTRA = tuple(_byte_spectra(1 << n) for n in range(4))
 # Indexed by min(n, 6): a table under one word holds 1, 2, 4, ..., 32 points.
 _WORD_PATTERNS = tuple(_word_patterns(1 << n) for n in range(7))
-# The passes below _GROUP_POINTS run one group at a time, and the passes
-# above it one strip of columns of the same size at a time; the |W| peaks
-# read the spectrum in chunks of the same size.  A group (512 KiB of int32)
-# stays in a 2 MiB per-core L2 cache.  Within a group, seen as
-# rows of _ROW_POINTS, the passes below _ROW_POINTS run on a transposed copy.
+# The passes below _GROUP_POINTS run one group at a time, and the strip
+# routine moves a group's worth of points per strip, both for a group's
+# transposed column bits and for the passes above the group; the grouped
+# |W| walk reads the spectra in chunks of the same size.  A group (512 KiB
+# of int32) stays in a 2 MiB per-core L2 cache.  Within a group, seen as
+# rows of _ROW_POINTS, the passes below _ROW_POINTS run on its transpose.
 _GROUP_POINTS = 1 << 17
 _ROW_POINTS = 1 << 8
 
 
-def _butterfly(block: np.ndarray, h: int, stop: int) -> None:
-    """Hadamard butterfly passes on strides h, 2h, ... below stop, in place,
-    no scratch.
+def _butterfly(block: np.ndarray, h: int) -> None:
+    """Hadamard butterfly passes on strides h, 2h, ... below block.size, in
+    place, no scratch.
 
     Each pass doubles the set of points every entry sums over, and before
     the last one that set is half the table, so each intermediate below,
     2*bot included, is at most 2**n in magnitude."""
-    while h < stop:
+    while h < block.size:
         view = block.reshape(-1, 2, h)
         top, bot = view[:, 0, :], view[:, 1, :]
         top += bot
         bot *= -2  # top is now a + b, so bot becomes a + b - 2b = a - b
         bot += top
         h <<= 1
+
+
+def _column_passes(grid: np.ndarray, buffer: np.ndarray, h: int) -> None:
+    """Butterfly passes down the columns of a 2-D view, on row strides h, 2h,
+    ... below its row count, in place.
+
+    Each strip of columns, as many as fill the contiguous buffer, is copied
+    into it, transformed there and written back."""
+    rows, width = grid.shape[0], buffer.size // grid.shape[0]
+    strip = buffer.reshape(rows, width)
+    for start in range(0, grid.shape[1], width):
+        block = grid[:, start : start + width]
+        np.copyto(strip, block)
+        _butterfly(buffer, h * width)
+        np.copyto(block, strip)
+
+
+def _grouped_peak(*parts: np.ndarray) -> tuple[int, int]:
+    """max over w of the sum of |part[w]|, and the smallest w attaining it.
+
+    The sum is taken one group at a time in reused int32 buffers, so no
+    full-size copy is made; a running (peak, index) pair moves only on a
+    strictly larger value, so on a tie the earlier group keeps the index."""
+    size = parts[0].size
+    group = min(size, _GROUP_POINTS)
+    # the first group allocates the buffers, the rest reuse them
+    total = other = None
+    peak = at = -1
+    for start in range(0, size, group):
+        total = np.abs(parts[0][start : start + group], out=total)
+        for part in parts[1:]:
+            other = np.abs(part[start : start + group], out=other)
+            total += other
+        i = int(total.argmax())
+        top = int(total[i])
+        if top > peak:
+            peak, at = top, start + i
+    return peak, at
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,20 +130,8 @@ class WalshSpectrum:
 
     @cached_property
     def _peak(self) -> tuple[int, int]:
-        """max|W| and the smallest index attaining it, one group at a time."""
-        size = self.values.size
-        group = min(size, _GROUP_POINTS)
-        # |W| of one group: the first allocates the buffer, the rest reuse it
-        # (argmax on the read-only values would copy them)
-        magnitudes = None
-        peak = at = -1
-        for start in range(0, size, group):
-            magnitudes = np.abs(self.values[start : start + group], out=magnitudes)
-            i = int(magnitudes.argmax())
-            top = int(magnitudes[i])
-            if top > peak:  # strictly: on a tie the earlier group keeps the index
-                peak, at = top, start + i
-        return peak, at
+        """max|W| and the smallest index attaining it."""
+        return _grouped_peak(self.values)
 
     def max_abs(self) -> int:
         return self._peak[0]
@@ -135,33 +156,21 @@ def walsh_transform(t: TruthTable) -> WalshSpectrum:
     spectra = _BYTE_SPECTRA[min(t.n, 3)]  # passes h = 1, 2, 4 done
     if t.size <= _ROW_POINTS:  # one row: nothing to transpose
         values = spectra[raw].reshape(-1)
-        _butterfly(values, 8, t.size)
+        _butterfly(values, 8)
     else:
         group_points = min(_GROUP_POINTS, t.size)
-        rows = group_points // _ROW_POINTS
         values = np.empty(t.size, dtype=np.int32)
-        columns = np.empty((_ROW_POINTS, rows), dtype=np.int32)
+        buffer = np.empty(group_points, dtype=np.int32)
         for start in range(0, t.size, group_points):
             group = values[start : start + group_points]
             # per group: one whole-table take would cast every byte index to intp at once;
             # clip, unlike raise, writes to out unbuffered, and a uint8 index into 256 rows is never clipped
             index = raw[start // 8 : (start + group_points) // 8]
             np.take(spectra, index, axis=0, out=group.reshape(-1, 8), mode="clip")
-            grid = group.reshape(rows, _ROW_POINTS)
-            np.copyto(columns, grid.T)
-            _butterfly(columns.reshape(-1), 8 * rows, group_points)
-            np.copyto(grid, columns.T)
-            _butterfly(group, _ROW_POINTS, group_points)
-        groups = t.size // group_points
-        if groups > 1:  # the passes above the group, one strip of columns at a time
-            width = group_points // groups
-            grid = values.reshape(groups, group_points)
-            strip = columns.reshape(groups, width)
-            for start in range(0, group_points, width):
-                block = grid[:, start : start + width]
-                np.copyto(strip, block)
-                _butterfly(strip.reshape(-1), width, group_points)
-                np.copyto(block, strip)
+            _column_passes(group.reshape(-1, _ROW_POINTS).T, buffer, 8)  # the column bits, transposed
+            _butterfly(group, _ROW_POINTS)
+        if t.size > group_points:  # the passes above the group
+            _column_passes(values.reshape(-1, group_points), buffer, 1)
     values.setflags(write=False)
     return WalshSpectrum(t.n, values)
 
@@ -178,16 +187,7 @@ def concat_nonlinearity(left: WalshSpectrum, right: WalshSpectrum) -> int:
         raise ValueError(f"variable counts differ: {left.n} vs {right.n}")
     if left.n + 1 > max_vars():  # as concat would refuse it; the bound needs n + 1 <= 30
         raise ValueError(f"variable count {left.n + 1} outside 0..{max_vars()}")
-    size = left.values.size
-    group = min(size, _GROUP_POINTS)
-    total = other = None  # allocated by the first group, reused by the rest
-    peak = 0
-    for start in range(0, size, group):
-        total = np.abs(left.values[start : start + group], out=total)
-        other = np.abs(right.values[start : start + group], out=other)
-        total += other
-        peak = max(peak, int(total.max()))
-    return (1 << left.n) - peak // 2
+    return (1 << left.n) - _grouped_peak(left.values, right.values)[0] // 2
 
 
 def nonlinearity(t: TruthTable) -> int:
@@ -239,10 +239,10 @@ def affine_table(spec: AffineSpec, n: int) -> TruthTable:
     size = 1 << n
     bits = 0
     m = spec.mask
-    while m:
-        low = m & -m
-        bits ^= _variable_pattern(low.bit_length() - 1, size)
-        m ^= low
+    while m:  # i -> bit j of i: the high 2**j bits of every 2**(j+1)-bit group
+        block = m & -m
+        bits ^= _low_mask(block, size) << block
+        m ^= block
     if spec.constant:
         bits ^= (1 << size) - 1
     return TruthTable(n, bits)

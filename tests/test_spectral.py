@@ -49,6 +49,15 @@ def butterfly_int64(t: TruthTable) -> np.ndarray:
     return values
 
 
+def handmade_spectrum(n: int, entries: dict[int, int]) -> WalshSpectrum:
+    """Values that are zero except at the given indices."""
+    values = np.zeros(1 << n, dtype=np.int32)
+    for at, value in entries.items():
+        values[at] = value
+    values.setflags(write=False)
+    return WalshSpectrum(n, values)
+
+
 def kernel_tables(n: int) -> list[TruthTable]:
     """Random, both constant and two single-point tables on n variables."""
     size = 1 << n
@@ -127,32 +136,24 @@ class TestWalshTransform:
 class TestGroupedPeak:
     """Hand-made values at n = 18 and 19: two and four 2**17-point groups."""
 
-    @staticmethod
-    def spectrum(n, entries):
-        values = np.zeros(1 << n, dtype=np.int32)
-        for at, value in entries.items():
-            values[at] = value
-        values.setflags(write=False)
-        return WalshSpectrum(n, values)
-
     @pytest.mark.parametrize("n", [18, 19])
     def test_peak_in_a_later_group(self, n):
         last = (1 << n) - 1
-        spectrum = self.spectrum(n, {5: 7, (1 << 17) + 3: -8, last: 9})
+        spectrum = handmade_spectrum(n, {5: 7, (1 << 17) + 3: -8, last: 9})
         assert (spectrum.max_abs(), spectrum.max_abs_index()) == (9, last)
-        spectrum = self.spectrum(n, {5: 7, (1 << 17) + 3: -8})
+        spectrum = handmade_spectrum(n, {5: 7, (1 << 17) + 3: -8})
         assert (spectrum.max_abs(), spectrum.max_abs_index()) == (8, (1 << 17) + 3)
 
     @pytest.mark.parametrize("n", [18, 19])
     def test_tie_across_groups_keeps_the_smallest_index(self, n):
-        spectrum = self.spectrum(n, {1: 5, 9: 12, (1 << 17) + 2: -12, (1 << n) - 2: 12})
+        spectrum = handmade_spectrum(n, {1: 5, 9: 12, (1 << 17) + 2: -12, (1 << n) - 2: 12})
         assert (spectrum.max_abs(), spectrum.max_abs_index()) == (12, 9)
-        spectrum = self.spectrum(n, {1: 5, (1 << 17) + 9: -12, (1 << n) - 2: 12})
+        spectrum = handmade_spectrum(n, {1: 5, (1 << 17) + 9: -12, (1 << n) - 2: 12})
         assert (spectrum.max_abs(), spectrum.max_abs_index()) == (12, (1 << 17) + 9)
 
     @pytest.mark.parametrize("n", [18, 19])
     def test_negative_peak(self, n):
-        spectrum = self.spectrum(n, {0: 3, (1 << n) - 5: -(1 << 10)})
+        spectrum = handmade_spectrum(n, {0: 3, (1 << n) - 5: -(1 << 10)})
         assert (spectrum.max_abs(), spectrum.max_abs_index()) == (1 << 10, (1 << n) - 5)
         assert spectrum.nonlinearity() == (1 << (n - 1)) - (1 << 9)
 
@@ -174,6 +175,26 @@ class TestConcatNonlinearity:
         for left, right in ((a, b), (b, a), (a, a.complement()), (a, linear), (linear, b)):
             expected = walsh_transform(concat(left, right)).nonlinearity()
             assert concat_nonlinearity(walsh_transform(left), walsh_transform(right)) == expected
+
+    @pytest.mark.parametrize("n", [18, 19])
+    def test_peak_sum_in_a_later_group(self, n):
+        # each half peaks in the first group; the largest |W_a| + |W_b| is in
+        # the last group, where neither half reaches its own max|W|
+        late = (1 << n) - 3
+        left = handmade_spectrum(n, {5: 10, late: 6})
+        right = handmade_spectrum(n, {7: -10, late: -6})
+        assert (left.max_abs_index(), right.max_abs_index()) == (5, 7)
+        assert concat_nonlinearity(left, right) == (1 << n) - 6
+
+    @given(truth_tables(min_n=1, max_n=10))
+    @settings(max_examples=60)
+    def test_mirror_extension_doubles_nonlinearity(self, g):
+        # W of g' = reversed complement is -(-1)**|w| W_g(w), so each |W| of
+        # concat(g', g) is 0 or 2|W_g(w)|
+        mirrored = g.complement().reverse()
+        doubled = 2 * nonlinearity(g)
+        assert nonlinearity(concat(mirrored, g)) == doubled
+        assert concat_nonlinearity(walsh_transform(mirrored), walsh_transform(g)) == doubled
 
     def test_variable_counts_must_match(self):
         with pytest.raises(ValueError, match="variable counts differ: 3 vs 4"):
@@ -235,6 +256,15 @@ class TestAffineTables:
         assert affine_table(AffineSpec(0b01, 0), 2).to_bitstring() == "0101"
         assert affine_table(AffineSpec(0b10, 0), 2).to_bitstring() == "0011"
         assert affine_table(AffineSpec(0b11, 1), 2).to_bitstring() == "1001"
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_matches_parity(self, n):
+        idx = np.arange(1 << n, dtype=np.int64)
+        random_mask = int(np.random.default_rng(n).integers(1 << n))
+        for mask in ((1 << n) - 1, 1 << (n - 1), random_mask):
+            for c in (0, 1):
+                expected = c ^ (np.bitwise_count(idx & mask) & 1)
+                assert np.array_equal(affine_table(AffineSpec(mask, c), n).to_array(), expected)
 
     def test_validation(self):
         with pytest.raises(ValueError):
