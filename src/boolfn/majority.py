@@ -20,7 +20,7 @@ from itertools import groupby
 import numpy as np
 
 from .spectral import brute_force_nonlinearity, concat_nonlinearity, walsh_transform
-from .truthtable import TruthTable, concat, max_vars
+from .truthtable import TruthTable, check_vars, concat
 
 VERIFY_MAX_K = 24  # spectrum-verified range; closed forms alone go to BINOMIAL_MAX
 BINOMIAL_MAX = 64
@@ -35,8 +35,7 @@ def threshold(n: int, t: int) -> TruthTable:
     popcount(j) plus the weights of the low three index bits, so the byte
     depends only on popcount(j): one packed row per high popcount, gathered
     in one take.  A table under 8 points packs only its own points."""
-    if not 0 <= n <= max_vars():
-        raise ValueError(f"variable count {n} outside 0..{max_vars()}")
+    check_vars(n)
     if not 0 <= t <= n + 1:
         raise ValueError(f"threshold {t} outside 0..{n + 1}")
     size = 1 << n
@@ -49,9 +48,7 @@ def threshold(n: int, t: int) -> TruthTable:
 
 def _majority_threshold(k: int) -> int:
     """ceil(k/2), for k in 1..max_vars()."""
-    if not 1 <= k <= max_vars():
-        raise ValueError(f"variable count {k} outside 1..{max_vars()}")
-    return (k + 1) // 2
+    return (check_vars(k, 1) + 1) // 2
 
 
 def majority(k: int) -> TruthTable:
@@ -85,36 +82,43 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def _half_central(m: int) -> int:
+    """C(2m, m)/2, exact for m >= 1."""
+    half, rem = divmod(binomial(2 * m, m), 2)
+    assert rem == 0  # central binomials are even for m >= 1
+    return half
+
+
+def _quarter_tail(n: int) -> int:
+    """Sum of C(2n-2, j) over j = n+1..2n-2: the points of weight >= n + 1
+    on 2n - 2 variables."""
+    return sum(binomial(2 * n - 2, j) for j in range(n + 1, 2 * n - 1))
+
+
 def predicted_nonlinearity(k: int) -> int:
     """Closed-form nonlinearity of majority(k):
     2**(2n) - C(2n, n) for k = 2n + 1, half that for k = 2n."""
     if k < 4:
         raise ValueError("closed-form nonlinearity starts at four variables")
-    if k % 2:
-        n = (k - 1) // 2
-        return (1 << (2 * n)) - binomial(2 * n, n)
     n = k // 2
-    half, rem = divmod(binomial(2 * n, n), 2)
-    assert rem == 0  # central binomials are even for n >= 1
-    return (1 << (2 * n - 1)) - half
+    if k % 2:
+        return (1 << (2 * n)) - binomial(2 * n, n)
+    return (1 << (2 * n - 1)) - _half_central(n)
 
 
 def predicted_left_half_weight(n: int) -> int:
-    """Weight of the left half of majority(2n + 1): 2**(2n-1) - C(2n, n)/2."""
+    """Weight of the left half of majority(2n + 1): 2**(2n-1) - C(2n, n)/2,
+    the same closed form as the nonlinearity of majority(2n)."""
     if n < 2:
         raise ValueError("left-half weight formula needs n >= 2")
-    half, rem = divmod(binomial(2 * n, n), 2)
-    assert rem == 0
-    return (1 << (2 * n - 1)) - half
+    return predicted_nonlinearity(2 * n)
 
 
 def _right_half_nonlinearity_forms(n: int) -> tuple[int, int]:
     """The two equivalent binomial forms for the right half of majority(2n)."""
-    tail = sum(binomial(2 * n - 2, j) for j in range(n + 1, 2 * n - 1))
+    tail = _quarter_tail(n)
     first = 2 * tail + binomial(2 * n - 2, n)
-    central_half, rem = divmod(binomial(2 * n - 2, n - 1), 2)
-    assert rem == 0
-    second = tail + (1 << (2 * n - 3)) - central_half
+    second = tail + (1 << (2 * n - 3)) - _half_central(n - 1)
     return first, second
 
 
@@ -129,12 +133,12 @@ def predicted_right_half_nonlinearity(n: int) -> int:
 
 
 def predicted_quarter_half_weights(n: int) -> tuple[int, int]:
-    """Weights of the two halves of the first quarter of majority(2n + 1)."""
+    """Weights of the two halves of the first quarter of majority(2n + 1):
+    the quarter tail, and the tail plus the C(2n-2, n) points of weight n."""
     if n < 3:
         raise ValueError("quarter-half weight formulas need n >= 3")
-    left = sum(binomial(2 * n - 2, j) for j in range(n + 1, 2 * n - 1))
-    right = sum(binomial(2 * n - 2, j) for j in range(n, 2 * n - 1))
-    return left, right
+    left = _quarter_tail(n)
+    return left, left + binomial(2 * n - 2, n)
 
 
 def run_length_string(t: TruthTable) -> str:

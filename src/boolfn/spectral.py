@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .truthtable import TruthTable, _low_mask, max_vars
+from .truthtable import TruthTable, _low_mask, check_vars
 
 _BRUTE_FORCE_MAX_VARS = 16
 
@@ -185,8 +185,7 @@ def concat_nonlinearity(left: WalshSpectrum, right: WalshSpectrum) -> int:
     reused int32 buffers, exact because |W_a| + |W_b| <= 2**(n+1) <= 2**30."""
     if left.n != right.n:
         raise ValueError(f"variable counts differ: {left.n} vs {right.n}")
-    if left.n + 1 > max_vars():  # as concat would refuse it; the bound needs n + 1 <= 30
-        raise ValueError(f"variable count {left.n + 1} outside 0..{max_vars()}")
+    check_vars(left.n + 1)  # as concat would refuse it; the bound needs n + 1 <= 30
     return (1 << left.n) - _grouped_peak(left.values, right.values)[0] // 2
 
 
@@ -234,6 +233,7 @@ class AffineSpec:
 
 def affine_table(spec: AffineSpec, n: int) -> TruthTable:
     """Truth table of the affine function; table bit i = c + parity(mask & i)."""
+    check_vars(n)  # before any table-sized mask is built
     if spec.mask >> n:
         raise ValueError(f"mask {spec.mask:#x} has bits beyond {n} variables")
     size = 1 << n

@@ -10,6 +10,12 @@ Tables are packed into a single arbitrary-precision integer with table
 entry i at bit position i, so weight and distance are popcounts and the
 structural operations (complement, reversal, concatenation) are plain
 integer arithmetic.
+
+A table has 0..max_vars() variables (30 unless BOOLFN_MAX_N lowers it).
+check_vars() is the one place that range is checked.  TruthTable and
+every builder (random_table, affine_table, threshold, the majority
+pieces) call it before they allocate anything table-sized, so a count
+past the cap is a ValueError, never a 2**n-bit allocation.
 """
 
 from __future__ import annotations
@@ -35,6 +41,14 @@ def max_vars() -> int:
     if not raw.strip().isdecimal() or int(raw) > _DEFAULT_MAX_VARS:
         raise ValueError(f"{_MAX_VARS_ENV} must be an integer in 0..{_DEFAULT_MAX_VARS}, got {raw!r}")
     return int(raw)
+
+
+def check_vars(n: int, low: int = 0) -> int:
+    """n, if it is a variable count in low..max_vars(); else ValueError."""
+    cap = max_vars()
+    if not low <= n <= cap:
+        raise ValueError(f"variable count {n} outside {low}..{cap}")
+    return n
 
 
 def unpack_bits(bits: int, size: int) -> np.ndarray:
@@ -91,9 +105,7 @@ class TruthTable:
     bits: int
 
     def __post_init__(self) -> None:
-        cap = max_vars()
-        if not 0 <= self.n <= cap:
-            raise ValueError(f"variable count {self.n} outside 0..{cap}")
+        check_vars(self.n)
         if self.bits < 0 or self.bits.bit_length() > self.size:
             raise ValueError(f"packed value does not fit in {self.size} table bits")
 
@@ -214,6 +226,6 @@ def point_weight(i: int, n: int) -> int:
 
 def random_table(n: int, rng: np.random.Generator) -> TruthTable:
     """Uniformly random table on n variables."""
-    size = 1 << n
+    size = 1 << check_vars(n)
     raw = rng.bytes((size + 7) // 8)
     return TruthTable(n, int.from_bytes(raw, "little") & ((1 << size) - 1))

@@ -70,6 +70,12 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["walsh_spectrum"] == [0, 0, 0, 4]
 
+    def test_spectrum_flag_under_text(self, capsys):
+        _, plain, _ = run(capsys, "analyze", "--tt", "0110", "--text")
+        code, out, _ = run(capsys, "analyze", "--tt", "0110", "--text", "--spectrum")
+        assert code == 0
+        assert out == plain + "walsh_spectrum: [0, 0, 0, 4]\n"
+
     def test_spectrum_flag_transforms_once(self, capsys, monkeypatch):
         t = from_bitstring(MAJ5)
         expected = {**analyze_table(t).to_dict(), "walsh_spectrum": walsh_transform(t).values.tolist()}

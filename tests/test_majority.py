@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from boolfn import (
+    BINOMIAL_MAX,
     VERIFY_MAX_K,
     TruthTable,
     binomial,
@@ -28,6 +29,11 @@ from boolfn import (
 )
 
 MAJ5 = "00000001000101110001011101111111"
+
+
+def weight_at_least(m: int, t: int) -> int:
+    """Weight of threshold(m, t), counted: the points of weight >= t on m variables."""
+    return sum(math.comb(m, j) for j in range(t, m + 1))
 
 
 class TestConstruction:
@@ -142,6 +148,24 @@ class TestClosedForms:
         for n in range(3, 13):
             left, right = predicted_quarter_half_weights(n)
             assert right - left == math.comb(2 * n - 2, n)
+
+    @pytest.mark.parametrize("k", range(4, BINOMIAL_MAX + 1))
+    def test_every_value_up_to_the_binomial_cap(self, k):
+        # each closed form against the weight of the table it describes, counted;
+        # N(majority(2n)) is the weight of the left half of majority(2n + 1)
+        n = k // 2
+        left_weight = weight_at_least(2 * n, n + 1)
+        if k % 2 == 0:
+            assert predicted_nonlinearity(k) == left_weight
+            if n >= 3:  # mirror of the right half threshold(2n - 1, n - 1)
+                mirrored_weight = (1 << (2 * n - 1)) - weight_at_least(2 * n - 1, n - 1)
+                assert predicted_right_half_nonlinearity(n) == mirrored_weight
+        else:
+            assert predicted_nonlinearity(k) == 2 * left_weight
+            assert predicted_left_half_weight(n) == left_weight
+            if n >= 3:  # halves of the first quarter threshold(2n - 1, n + 1)
+                quarter = weight_at_least(2 * n - 2, n + 1), weight_at_least(2 * n - 2, n)
+                assert predicted_quarter_half_weights(n) == quarter
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +20,7 @@ from boolfn import (
     concat,
     concat_nonlinearity,
     from_bitstring,
+    max_vars,
     nonlinearity,
     random_table,
     walsh_transform,
@@ -273,6 +277,16 @@ class TestAffineTables:
             AffineSpec(0, 2)
         with pytest.raises(ValueError):
             affine_table(AffineSpec(0b100, 0), 2)
+
+    @pytest.mark.parametrize("n", [-1, 31])
+    def test_cap_is_checked_before_the_masks(self, monkeypatch, n):
+        def no_masks(block, size):
+            raise AssertionError(f"built a {size}-bit mask for {n} variables")
+
+        monkeypatch.setattr(importlib.import_module("boolfn.spectral"), "_low_mask", no_masks)
+        message = f"variable count {n} outside 0..{max_vars()}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            affine_table(AffineSpec(1, 0), n)
 
 
 class TestWeightNonlinearityCheck:

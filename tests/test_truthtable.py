@@ -213,3 +213,13 @@ class TestRandomTables:
     def test_respects_size(self, rng):
         for n in range(0, 9):
             assert random_table(n, rng).size == 1 << n
+
+    @pytest.mark.parametrize("n", [-1, 31])
+    def test_cap_is_checked_before_drawing(self, n):
+        class NoDraws:
+            def bytes(self, length):
+                raise AssertionError(f"drew {length} bytes for {n} variables")
+
+        message = f"variable count {n} outside 0..{max_vars()}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            random_table(n, NoDraws())
