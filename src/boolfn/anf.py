@@ -13,7 +13,18 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .truthtable import TruthTable, _low_mask, unpack_bits
+from .truthtable import TruthTable, unpack_bits
+
+
+def _low_mask(block: int, size: int) -> int:
+    """The low `block` bits of every 2*block-bit group of a size-bit table,
+    built by doubling (dividing an all-ones integer is far slower)."""
+    mask = (1 << block) - 1
+    width = 2 * block
+    while width < size:
+        mask |= mask << width
+        width <<= 1
+    return mask
 
 
 def _mobius(bits: int, n: int) -> int:
@@ -53,6 +64,7 @@ class AnfTable:
         return self.coeffs in (0, 1)
 
     def to_truthtable(self) -> TruthTable:
+        """The table of the function: the Moebius transform of the coefficients."""
         return TruthTable(self.n, _mobius(self.coeffs, self.n))
 
     @cached_property
@@ -97,6 +109,7 @@ class AnfTable:
 
 
 def to_anf(t: TruthTable) -> AnfTable:
+    """The ANF coefficients of t: the Moebius transform of its table."""
     return AnfTable(t.n, _mobius(t.bits, t.n))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .anf import to_anf
 from .majority import iter_reports, majority, majority_report, run_length_string
-from .spectral import WalshSpectrum, _small_weight_check, walsh_transform
+from .spectral import WalshSpectrum, check_weight_equals_nonlinearity, walsh_transform
 from .truthtable import TruthTable, from_bitstring, from_hex, random_table
 
 _RUNLENGTH_MAX_K = 9
@@ -48,11 +48,13 @@ def analyze_table(t: TruthTable, spectrum: WalshSpectrum | None = None) -> Analy
     """The report on t; pass t's spectrum when it is already computed."""
     if spectrum is None:
         spectrum = walsh_transform(t)
+    elif spectrum.n != t.n:
+        raise ValueError(f"variable counts differ: {t.n} vs {spectrum.n}")
     anf = to_anf(t)
     nl = spectrum.nonlinearity() if t.n >= 1 else None
     verdict = "not-applicable"
     if t.n >= 2:
-        verdict = _small_weight_check(t, nl).verdict
+        verdict = check_weight_equals_nonlinearity(t, spectrum).verdict
     return AnalysisReport(
         n=t.n,
         weight=t.weight(),

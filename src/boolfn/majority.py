@@ -256,6 +256,7 @@ def iter_reports(k_max: int) -> Iterator[MajorityReport]:
     recorded in the report."""
     if not 4 <= k_max <= VERIFY_MAX_K:
         raise ValueError(f"verification range is 4..{VERIFY_MAX_K}, got {k_max}")
+    check_vars(k_max)  # majority(k_max) is the largest table; refuse it before the first report
     return (majority_report(k) for k in range(4, k_max + 1))
 
 

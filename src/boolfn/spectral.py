@@ -31,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .truthtable import TruthTable, _low_mask, check_vars
+from .anf import AnfTable
+from .truthtable import TruthTable, check_vars
 
 _BRUTE_FORCE_MAX_VARS = 16
 
@@ -146,12 +147,14 @@ class WalshSpectrum:
         return int(np.einsum("i,i->", self.values, self.values, dtype=np.int64))
 
     def nonlinearity(self) -> int:
+        """Distance to the nearest affine function: 2**(n-1) - max|W|/2."""
         if self.n == 0:
             raise ValueError("nonlinearity needs at least one variable")
         return (1 << (self.n - 1)) - self.max_abs() // 2
 
 
 def walsh_transform(t: TruthTable) -> WalshSpectrum:
+    """The exact int32 spectrum of t, as a read-only array (see the module docstring)."""
     raw = np.frombuffer(t.bits.to_bytes((t.size + 7) // 8, "little"), dtype=np.uint8)
     spectra = _BYTE_SPECTRA[min(t.n, 3)]  # passes h = 1, 2, 4 done
     if t.size <= _ROW_POINTS:  # one row: nothing to transpose
@@ -232,20 +235,15 @@ class AffineSpec:
 
 
 def affine_table(spec: AffineSpec, n: int) -> TruthTable:
-    """Truth table of the affine function; table bit i = c + parity(mask & i)."""
-    check_vars(n)  # before any table-sized mask is built
+    """Truth table of the affine function; table bit i = c + parity(mask & i).
+
+    It is the Moebius transform of its ANF, which has the constant at
+    coefficient 0 and mask bit p, the variable x_{n-p}, at coefficient 2**p."""
+    check_vars(n)  # before any table-sized integer is built
     if spec.mask >> n:
         raise ValueError(f"mask {spec.mask:#x} has bits beyond {n} variables")
-    size = 1 << n
-    bits = 0
-    m = spec.mask
-    while m:  # i -> bit j of i: the high 2**j bits of every 2**(j+1)-bit group
-        block = m & -m
-        bits ^= _low_mask(block, size) << block
-        m ^= block
-    if spec.constant:
-        bits ^= (1 << size) - 1
-    return TruthTable(n, bits)
+    coeffs = spec.constant | sum(1 << (1 << p) for p in range(n) if spec.mask >> p & 1)
+    return AnfTable(n, coeffs).to_truthtable()
 
 
 @dataclass(frozen=True)
@@ -265,17 +263,17 @@ class WeightNonlinearityCheck:
         return "pass" if self.holds else "fail"
 
 
-def check_weight_equals_nonlinearity(t: TruthTable) -> WeightNonlinearityCheck:
-    """Check wt = N whenever the weight is at most a quarter of the table."""
+def check_weight_equals_nonlinearity(t: TruthTable, spectrum: WalshSpectrum | None = None) -> WeightNonlinearityCheck:
+    """Check wt = N whenever the weight is at most a quarter of the table;
+    pass t's spectrum when it is already computed."""
     if t.n < 2:
         raise ValueError("small-weight check needs at least two variables")
-    return _small_weight_check(t, nonlinearity(t))
-
-
-def _small_weight_check(t: TruthTable, nl: int) -> WeightNonlinearityCheck:
-    """The small-weight check on a table whose nonlinearity is already known."""
+    if spectrum is None:
+        spectrum = walsh_transform(t)
+    elif spectrum.n != t.n:
+        raise ValueError(f"variable counts differ: {t.n} vs {spectrum.n}")
+    nl = spectrum.nonlinearity()
     w = t.weight()
     threshold = 1 << (t.n - 2)
-    if w > threshold:
-        return WeightNonlinearityCheck(w, nl, threshold, applicable=False, holds=None)
-    return WeightNonlinearityCheck(w, nl, threshold, applicable=True, holds=nl == w)
+    applicable = w <= threshold
+    return WeightNonlinearityCheck(w, nl, threshold, applicable, holds=nl == w if applicable else None)

@@ -57,17 +57,6 @@ def unpack_bits(bits: int, size: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=size, bitorder="little")
 
 
-def _low_mask(block: int, size: int) -> int:
-    """The low `block` bits of every 2*block-bit group of a size-bit table,
-    built by doubling (dividing an all-ones integer is far slower)."""
-    mask = (1 << block) - 1
-    width = 2 * block
-    while width < size:
-        mask |= mask << width
-        width <<= 1
-    return mask
-
-
 @dataclass(frozen=True)
 class PointVector:
     """One input point (x_1, ..., x_n) of the function domain."""

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from boolfn import IdentityResult, from_bitstring, walsh_transform
+from boolfn import IdentityResult, TruthTable, from_bitstring, walsh_transform
 from boolfn.cli import analyze_table, main
 
 MAJ5 = "00000001000101110001011101111111"
@@ -91,6 +91,28 @@ class TestAnalyze:
         assert code == 0 and len(calls) == 1
         assert out == json.dumps(expected, indent=2) + "\n"
 
+    # at n = 1 no small-weight check runs, so analyze_table checks the count itself
+    @pytest.mark.parametrize("n, other", [(1, 2), (4, 3)])
+    def test_spectrum_must_match_the_table(self, n, other):
+        with pytest.raises(ValueError, match=f"variable counts differ: {n} vs {other}"):
+            analyze_table(TruthTable(n, 1), walsh_transform(TruthTable(other, 1)))
+
+    def test_small_weight_check_by_module_name(self, monkeypatch):
+        # the traced benchmark wraps the check under this name
+        module = importlib.import_module("boolfn.cli")
+        real = module.check_weight_equals_nonlinearity
+        calls = []
+
+        def counted(t, spectrum=None):
+            calls.append(spectrum)
+            return real(t, spectrum)
+
+        monkeypatch.setattr(module, "check_weight_equals_nonlinearity", counted)
+        t = from_bitstring(MAJ5)
+        spectrum = walsh_transform(t)
+        assert analyze_table(t, spectrum).weight_equals_nonlinearity == "not-applicable"
+        assert calls == [spectrum]
+
     def test_consistency_invariant(self, capsys):
         _, out, _ = run(capsys, "analyze", "--tt", MAJ5)
         report = json.loads(out)
@@ -147,6 +169,13 @@ class TestVerify:
     def test_low_bound_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--max-k", "3")
         assert code == 2 and "4..24" in err
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_cap_is_checked_before_the_first_report(self, capsys, monkeypatch, as_json):
+        monkeypatch.setenv("BOOLFN_MAX_N", "8")
+        code, out, err = run(capsys, "verify", "--max-k", "12", *(["--json"] if as_json else []))
+        assert code == 2 and out == ""
+        assert "variable count 12 outside 0..8" in err
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_failed_identity_exits_1(self, capsys, monkeypatch, as_json):

@@ -261,11 +261,15 @@ class TestAffineTables:
         assert affine_table(AffineSpec(0b10, 0), 2).to_bitstring() == "0011"
         assert affine_table(AffineSpec(0b11, 1), 2).to_bitstring() == "1001"
 
-    @pytest.mark.parametrize("n", [16, 20])
+    # every mask up to n = 5, where n = 0 and 1 have no butterfly pass or only one
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 16, 20])
     def test_matches_parity(self, n):
         idx = np.arange(1 << n, dtype=np.int64)
-        random_mask = int(np.random.default_rng(n).integers(1 << n))
-        for mask in ((1 << n) - 1, 1 << (n - 1), random_mask):
+        if n <= 5:
+            masks = range(1 << n)
+        else:
+            masks = ((1 << n) - 1, 1 << (n - 1), int(np.random.default_rng(n).integers(1 << n)))
+        for mask in masks:
             for c in (0, 1):
                 expected = c ^ (np.bitwise_count(idx & mask) & 1)
                 assert np.array_equal(affine_table(AffineSpec(mask, c), n).to_array(), expected)
@@ -283,7 +287,7 @@ class TestAffineTables:
         def no_masks(block, size):
             raise AssertionError(f"built a {size}-bit mask for {n} variables")
 
-        monkeypatch.setattr(importlib.import_module("boolfn.spectral"), "_low_mask", no_masks)
+        monkeypatch.setattr(importlib.import_module("boolfn.anf"), "_low_mask", no_masks)
         message = f"variable count {n} outside 0..{max_vars()}"
         with pytest.raises(ValueError, match=re.escape(message)):
             affine_table(AffineSpec(1, 0), n)
@@ -315,6 +319,15 @@ class TestWeightNonlinearityCheck:
     def test_needs_two_variables(self):
         with pytest.raises(ValueError):
             check_weight_equals_nonlinearity(TruthTable(1, 0b01))
+
+    @given(truth_tables(min_n=2, max_n=8))
+    @settings(max_examples=60)
+    def test_passed_spectrum_gives_the_same_check(self, t):
+        assert check_weight_equals_nonlinearity(t, walsh_transform(t)) == check_weight_equals_nonlinearity(t)
+
+    def test_spectrum_must_match_the_table(self):
+        with pytest.raises(ValueError, match="variable counts differ: 4 vs 5"):
+            check_weight_equals_nonlinearity(TruthTable(4, 1), walsh_transform(TruthTable(5, 1)))
 
     @given(truth_tables(min_n=2, max_n=6))
     @settings(max_examples=60)
