@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .truthtable import TruthTable, unpack_bits
+from .truthtable import TruthTable, check_table, unpack_bits
 
 
 def _low_mask(block: int, size: int) -> int:
@@ -58,6 +58,9 @@ class AnfTable:
 
     n: int
     coeffs: int
+
+    def __post_init__(self) -> None:
+        check_table(self.n, self.coeffs)
 
     @property
     def is_constant(self) -> bool:

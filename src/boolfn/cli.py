@@ -21,7 +21,7 @@ import numpy as np
 from .anf import to_anf
 from .majority import iter_reports, majority, majority_report, run_length_string
 from .spectral import WalshSpectrum, check_weight_equals_nonlinearity, walsh_transform
-from .truthtable import TruthTable, from_bitstring, from_hex, random_table
+from .truthtable import TruthTable, check_same_vars, from_bitstring, from_hex, random_table
 
 _RUNLENGTH_MAX_K = 9
 
@@ -48,13 +48,13 @@ def analyze_table(t: TruthTable, spectrum: WalshSpectrum | None = None) -> Analy
     """The report on t; pass t's spectrum when it is already computed."""
     if spectrum is None:
         spectrum = walsh_transform(t)
-    elif spectrum.n != t.n:
-        raise ValueError(f"variable counts differ: {t.n} vs {spectrum.n}")
+    check_same_vars(t.n, spectrum.n)
     anf = to_anf(t)
-    nl = spectrum.nonlinearity() if t.n >= 1 else None
-    verdict = "not-applicable"
     if t.n >= 2:
-        verdict = check_weight_equals_nonlinearity(t, spectrum).verdict
+        check = check_weight_equals_nonlinearity(t, spectrum)
+        nl, verdict = check.nonlinearity, check.verdict
+    else:
+        nl, verdict = (spectrum.nonlinearity() if t.n else None), "not-applicable"
     return AnalysisReport(
         n=t.n,
         weight=t.weight(),

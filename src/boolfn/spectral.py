@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .anf import AnfTable
-from .truthtable import TruthTable, check_vars
+from .truthtable import TruthTable, check_same_vars, check_vars, pack_bits
 
 _BRUTE_FORCE_MAX_VARS = 16
 
@@ -155,7 +155,7 @@ class WalshSpectrum:
 
 def walsh_transform(t: TruthTable) -> WalshSpectrum:
     """The exact int32 spectrum of t, as a read-only array (see the module docstring)."""
-    raw = np.frombuffer(t.bits.to_bytes((t.size + 7) // 8, "little"), dtype=np.uint8)
+    raw = np.frombuffer(pack_bits(t.bits, t.size), dtype=np.uint8)
     spectra = _BYTE_SPECTRA[min(t.n, 3)]  # passes h = 1, 2, 4 done
     if t.size <= _ROW_POINTS:  # one row: nothing to transpose
         values = spectra[raw].reshape(-1)
@@ -186,8 +186,7 @@ def concat_nonlinearity(left: WalshSpectrum, right: WalshSpectrum) -> int:
     and W(1||w) = W_a(w) - W_b(w), so its max|W| is the largest
     |W_a(w)| + |W_b(w)|.  That sum is taken one group at a time in two
     reused int32 buffers, exact because |W_a| + |W_b| <= 2**(n+1) <= 2**30."""
-    if left.n != right.n:
-        raise ValueError(f"variable counts differ: {left.n} vs {right.n}")
+    check_same_vars(left.n, right.n)
     check_vars(left.n + 1)  # as concat would refuse it; the bound needs n + 1 <= 30
     return (1 << left.n) - _grouped_peak(left.values, right.values)[0] // 2
 
@@ -208,7 +207,7 @@ def brute_force_nonlinearity(t: TruthTable) -> int:
     if not 1 <= t.n <= _BRUTE_FORCE_MAX_VARS:
         raise ValueError(f"brute force supports 1..{_BRUTE_FORCE_MAX_VARS} variables, got {t.n}")
     size = t.size
-    words = np.frombuffer(bytearray(t.bits.to_bytes(max(size, 64) // 8, "little")), dtype="<u8")
+    words = np.frombuffer(bytearray(pack_bits(t.bits, max(size, 64))), dtype="<u8")
     patterns = _WORD_PATTERNS[min(t.n, 6)]
     best = size
     for gray in range(words.size):
@@ -270,8 +269,7 @@ def check_weight_equals_nonlinearity(t: TruthTable, spectrum: WalshSpectrum | No
         raise ValueError("small-weight check needs at least two variables")
     if spectrum is None:
         spectrum = walsh_transform(t)
-    elif spectrum.n != t.n:
-        raise ValueError(f"variable counts differ: {t.n} vs {spectrum.n}")
+    check_same_vars(t.n, spectrum.n)
     nl = spectrum.nonlinearity()
     w = t.weight()
     threshold = 1 << (t.n - 2)

@@ -12,10 +12,17 @@ structural operations (complement, reversal, concatenation) are plain
 integer arithmetic.
 
 A table has 0..max_vars() variables (30 unless BOOLFN_MAX_N lowers it).
-check_vars() is the one place that range is checked.  TruthTable and
-every builder (random_table, affine_table, threshold, the majority
-pieces) call it before they allocate anything table-sized, so a count
-past the cap is a ValueError, never a 2**n-bit allocation.
+Each rule on packed tables lives in one function here:
+- check_vars() checks that range.  Every builder (random_table,
+  affine_table, threshold, the majority pieces) calls it before it
+  allocates anything table-sized, so a count past the cap is a
+  ValueError, never a 2**n-bit allocation.
+- check_table() checks a packed value against its variable count; both
+  packed types, TruthTable and anf.AnfTable, validate through it.
+- check_same_vars() refuses two operands on different variable counts.
+- pack_bits() turns a packed int into its little-endian bytes, and
+  unpack_bits() turns it into a 0/1 array through them; every other
+  byte-level view of a table starts from pack_bits().
 """
 
 from __future__ import annotations
@@ -51,10 +58,27 @@ def check_vars(n: int, low: int = 0) -> int:
     return n
 
 
+def check_table(n: int, bits: int) -> None:
+    """ValueError unless n passes check_vars and bits fits in 2**n table bits."""
+    if bits < 0 or bits.bit_length() > 1 << check_vars(n):
+        raise ValueError(f"packed value does not fit in {1 << n} table bits")
+
+
+def check_same_vars(a: int, b: int) -> None:
+    """ValueError unless the two variable counts are equal."""
+    if a != b:
+        raise ValueError(f"variable counts differ: {a} vs {b}")
+
+
+def pack_bits(bits: int, size: int) -> bytes:
+    """Bits 0..size-1 of a nonnegative int as bytes, bit i in byte i // 8 at
+    bit i % 8; the one packed-int-to-bytes conversion."""
+    return bits.to_bytes((size + 7) // 8, "little")
+
+
 def unpack_bits(bits: int, size: int) -> np.ndarray:
     """Bits 0..size-1 of a nonnegative int as a uint8 array of 0/1."""
-    raw = bits.to_bytes((size + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=size, bitorder="little")
+    return np.unpackbits(np.frombuffer(pack_bits(bits, size), dtype=np.uint8), count=size, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -94,9 +118,7 @@ class TruthTable:
     bits: int
 
     def __post_init__(self) -> None:
-        check_vars(self.n)
-        if self.bits < 0 or self.bits.bit_length() > self.size:
-            raise ValueError(f"packed value does not fit in {self.size} table bits")
+        check_table(self.n, self.bits)
 
     @property
     def size(self) -> int:
@@ -121,13 +143,11 @@ class TruthTable:
 
     def distance(self, other: TruthTable) -> int:
         """Hamming distance: number of table positions where the two differ."""
-        if other.n != self.n:
-            raise ValueError(f"variable counts differ: {self.n} vs {other.n}")
+        check_same_vars(self.n, other.n)
         return (self.bits ^ other.bits).bit_count()
 
     def __xor__(self, other: TruthTable) -> TruthTable:
-        if other.n != self.n:
-            raise ValueError(f"variable counts differ: {self.n} vs {other.n}")
+        check_same_vars(self.n, other.n)
         return TruthTable(self.n, self.bits ^ other.bits)
 
     def complement(self) -> TruthTable:
@@ -136,7 +156,7 @@ class TruthTable:
     def reverse(self) -> TruthTable:
         """Table read back-to-front: bit i becomes bit 2**n - 1 - i."""
         size = self.size
-        raw = self.bits.to_bytes((size + 7) // 8, "little")
+        raw = pack_bits(self.bits, size)
         # a table under 8 bits lands in the top bits of its byte
         rev = int.from_bytes(raw[::-1].translate(_BYTE_REVERSE), "little") >> (-size % 8)
         return TruthTable(self.n, rev)
@@ -161,7 +181,7 @@ class TruthTable:
         size = self.size
         if size < 4:
             raise ValueError("hex format needs a table of at least 4 bits")
-        raw = self.bits.to_bytes((size + 7) // 8, "little")
+        raw = pack_bits(self.bits, size)
         return "0x" + raw.translate(_BYTE_REVERSE).hex()[: size // 4]
 
     def to_array(self) -> np.ndarray:
@@ -201,8 +221,7 @@ def from_hex(s: str) -> TruthTable:
 
 def concat(left: TruthTable, right: TruthTable) -> TruthTable:
     """Join two tables on n variables into one on n + 1; left comes first."""
-    if left.n != right.n:
-        raise ValueError(f"variable counts differ: {left.n} vs {right.n}")
+    check_same_vars(left.n, right.n)
     return TruthTable(left.n + 1, left.bits | right.bits << left.size)
 
 

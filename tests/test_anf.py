@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,21 @@ class TestMobius:
         # f = 1 on the three points of weight two
         a = to_anf(from_bitstring("00010110"))
         assert sorted(a.monomials()) == [3, 5, 6, 7]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("n, coeffs", [(2, 1 << 5), (2, -1), (-1, 0)])
+    def test_refuses_what_truthtable_refuses(self, n, coeffs):
+        with pytest.raises(ValueError) as expected:
+            TruthTable(n, coeffs)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            AnfTable(n, coeffs)
+
+    def test_variable_cap(self, monkeypatch):
+        monkeypatch.setenv("BOOLFN_MAX_N", "8")
+        AnfTable(8, 1)
+        with pytest.raises(ValueError, match=r"^variable count 9 outside 0\.\.8$"):
+            AnfTable(9, 1)
 
 
 class TestDegree:

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from boolfn import IdentityResult, TruthTable, from_bitstring, walsh_transform
+from boolfn import IdentityResult, TruthTable, WalshSpectrum, from_bitstring, walsh_transform
 from boolfn.cli import analyze_table, main
 
 MAJ5 = "00000001000101110001011101111111"
@@ -112,6 +112,19 @@ class TestAnalyze:
         spectrum = walsh_transform(t)
         assert analyze_table(t, spectrum).weight_equals_nonlinearity == "not-applicable"
         assert calls == [spectrum]
+
+    def test_nonlinearity_read_once(self, monkeypatch):
+        real = WalshSpectrum.nonlinearity
+        calls = []
+
+        def counted(spectrum):
+            calls.append(spectrum.n)
+            return real(spectrum)
+
+        monkeypatch.setattr(WalshSpectrum, "nonlinearity", counted)
+        report = analyze_table(from_bitstring("0001000000000001"))
+        assert calls == [4]
+        assert report.nonlinearity == 2 and report.weight_equals_nonlinearity == "pass"
 
     def test_consistency_invariant(self, capsys):
         _, out, _ = run(capsys, "analyze", "--tt", MAJ5)

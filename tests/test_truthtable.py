@@ -99,11 +99,11 @@ class TestMeasures:
         assert t.distance(t) == 0
 
     def test_mismatched_sizes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variable counts differ: 1 vs 2"):
             from_bitstring("01").distance(from_bitstring("0110"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variable counts differ: 1 vs 2"):
             from_bitstring("01") ^ from_bitstring("0110")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variable counts differ: 1 vs 2"):
             concat(from_bitstring("01"), from_bitstring("0110"))
 
 
