@@ -123,8 +123,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(rep.to_dict()), flush=True)
         else:
-            status = "PASS" if rep.all_passed() else "FAIL"
-            passed = sum(r.passed for r in rep.identities)
+            failed = [r.name for r in rep.identities if not r.passed]
+            status = f"FAIL failed={','.join(failed)}" if failed else "PASS"
+            passed = len(rep.identities) - len(failed)
             print(
                 f"k={rep.k:2d}  weight={rep.weight}  N={rep.nonlinearity}"
                 f"  predicted={rep.predicted}  oracle={rep.oracle}"

@@ -1,19 +1,27 @@
 """Walsh spectra and nonlinearity.
 
 The spectrum entry at index w is sum over all points x of
-(-1)**(f(x) + w.x), computed by an in-place butterfly on an int32
-buffer, exact because |W| <= 2**n <= 2**30; no floating point anywhere.
+(-1)**(f(x) + w.x), computed by an in-place butterfly and returned as an
+int32 array, exact because |W| <= 2**n <= 2**30; no floating point
+anywhere.  Before the pass at stride h every entry sums h points, so it
+is at most h in magnitude, and the pass's intermediate 2*bot at most 2h.
+The passes below h = 2**14 therefore run in int16, whose largest value
+32767 holds 2 * 2**13 but not 2 * 2**14, and the table is widened to
+int32 before the pass at h = 2**14.
 The first three passes come from a table of byte spectra.  The table is
 then worked on in groups of 2**17 points, each small enough to stay in
-cache.  One strip routine runs butterfly passes down the columns of a
-2-D view: it copies a strip of columns into one reused contiguous buffer
-of a group's size, transforms it there and writes it back.  A group seen
-as rows of 2**8 points gets its column-bit passes (h = 8..128) as one
-strip of its transpose, where each pass covers long contiguous runs
-instead of runs of h points; the row-bit passes (h = 2**8..2**16) then
-run on the group in place.  Above the group the table is a grid of rows
-of 2**17 points, and the same routine runs the remaining passes down its
-columns.  Nonlinearity comes out of the spectrum as 2**(n-1) - max|W|/2.
+cache, held twice in the two int16 halves of one reused int32 buffer of a
+group's size.  A group is seen as rows of 2**8 points, each row 32 bytes
+of 8 points.  The byte gather writes it byte-major into the first half,
+byte in row outermost, so the column-bit passes (h = 8..128) cover long
+contiguous runs instead of runs of h points; one transposed copy of whole
+bytes then puts it in table order in the second half, where the row-bit
+passes h = 2**8..2**13 run in place.  One copy widens the group into the
+int32 table, where the passes h = 2**14..2**16 finish it.  Above the
+group the table is a grid of rows of 2**17 points, and one strip routine
+runs the remaining passes down its columns in int32: it copies a strip
+of columns into the buffer, transforms it there and writes it back.
+Nonlinearity comes out of the spectrum as 2**(n-1) - max|W|/2.
 One grouped walk takes every peak: the largest sum of |W| over one or
 more spectra, read one group at a time into reused buffers of at most
 2**17 int32, with a running (peak, index) pair that keeps the first
@@ -38,11 +46,11 @@ _BRUTE_FORCE_MAX_VARS = 16
 
 
 def _byte_spectra(points: int) -> np.ndarray:
-    """Row b: the int32 spectrum of the lowest `points` bits of byte value b."""
+    """Row b: the int16 spectrum of the lowest `points` bits of byte value b."""
     bit = np.arange(points)
     signs = np.where((np.arange(256)[:, None] >> bit) & 1, -1, 1)
     hadamard = np.where(np.bitwise_count(bit[:, None] & bit) & 1, -1, 1)
-    return (signs @ hadamard).astype(np.int32)
+    return (signs @ hadamard).astype(np.int16)
 
 
 def _word_patterns(points: int) -> np.ndarray:
@@ -59,23 +67,24 @@ _BYTE_SPECTRA = tuple(_byte_spectra(1 << n) for n in range(4))
 # Indexed by min(n, 6): a table under one word holds 1, 2, 4, ..., 32 points.
 _WORD_PATTERNS = tuple(_word_patterns(1 << n) for n in range(7))
 # The passes below _GROUP_POINTS run one group at a time, and the strip
-# routine moves a group's worth of points per strip, both for a group's
-# transposed column bits and for the passes above the group; the grouped
-# |W| walk reads the spectra in chunks of the same size.  A group (512 KiB
-# of int32) stays in a 2 MiB per-core L2 cache.  Within a group, seen as
-# rows of _ROW_POINTS, the passes below _ROW_POINTS run on its transpose.
+# routine moves a group's worth of points per strip for the passes above
+# the group; the grouped |W| walk reads the spectra in chunks of the same
+# size.  A group (512 KiB of int32) stays in a 2 MiB per-core L2 cache.
+# Within a group, seen as rows of _ROW_POINTS, the passes below _ROW_POINTS
+# run byte-major, and the passes below _NARROW_POINTS run in int16.
 _GROUP_POINTS = 1 << 17
 _ROW_POINTS = 1 << 8
+_NARROW_POINTS = 1 << 14
 
 
 def _butterfly(block: np.ndarray, h: int) -> None:
-    """Hadamard butterfly passes on strides h, 2h, ... below block.size, in
-    place, no scratch.
+    """Hadamard butterfly passes on strides h, 2h, ... below the length of
+    block's rows (its last axis), on each row, in place, no scratch.
 
-    Each pass doubles the set of points every entry sums over, and before
-    the last one that set is half the table, so each intermediate below,
-    2*bot included, is at most 2**n in magnitude."""
-    while h < block.size:
+    Each pass doubles the set of points every entry sums over, so before
+    the pass at stride h an entry is at most h in magnitude and 2*bot at
+    most 2h; on rows of m points every intermediate is at most m."""
+    while h < block.shape[-1]:
         view = block.reshape(-1, 2, h)
         top, bot = view[:, 0, :], view[:, 1, :]
         top += bot
@@ -157,21 +166,29 @@ def walsh_transform(t: TruthTable) -> WalshSpectrum:
     """The exact int32 spectrum of t, as a read-only array (see the module docstring)."""
     raw = np.frombuffer(pack_bits(t.bits, t.size), dtype=np.uint8)
     spectra = _BYTE_SPECTRA[min(t.n, 3)]  # passes h = 1, 2, 4 done
-    if t.size <= _ROW_POINTS:  # one row: nothing to transpose
-        values = spectra[raw].reshape(-1)
-        _butterfly(values, 8)
+    if t.size <= _ROW_POINTS:  # one row: byte-major is table order
+        narrow = spectra[raw].reshape(-1)
+        _butterfly(narrow, 8)
+        values = narrow.astype(np.int32)
     else:
         group_points = min(_GROUP_POINTS, t.size)
+        rows = group_points // _ROW_POINTS
+        narrow_points = min(_NARROW_POINTS, group_points)
         values = np.empty(t.size, dtype=np.int32)
         buffer = np.empty(group_points, dtype=np.int32)
+        # the int16 stage holds a group twice, byte-major and then in table order
+        byte_major, narrow = buffer.view(np.int16).reshape(2, group_points)
         for start in range(0, t.size, group_points):
-            group = values[start : start + group_points]
             # per group: one whole-table take would cast every byte index to intp at once;
             # clip, unlike raise, writes to out unbuffered, and a uint8 index into 256 rows is never clipped
-            index = raw[start // 8 : (start + group_points) // 8]
-            np.take(spectra, index, axis=0, out=group.reshape(-1, 8), mode="clip")
-            _column_passes(group.reshape(-1, _ROW_POINTS).T, buffer, 8)  # the column bits, transposed
-            _butterfly(group, _ROW_POINTS)
+            index = raw[start // 8 : (start + group_points) // 8].reshape(rows, -1).T
+            np.take(spectra, index, axis=0, out=byte_major.reshape(-1, rows, 8), mode="clip")
+            _butterfly(byte_major, 8 * rows)  # the column bits, h = 8..128
+            np.copyto(narrow.reshape(rows, -1, 8), byte_major.reshape(-1, rows, 8).transpose(1, 0, 2))
+            _butterfly(narrow.reshape(-1, narrow_points), _ROW_POINTS)
+            group = values[start : start + group_points]
+            np.copyto(group, narrow)
+            _butterfly(group, narrow_points)
         if t.size > group_points:  # the passes above the group
             _column_passes(values.reshape(-1, group_points), buffer, 1)
     values.setflags(write=False)

@@ -205,7 +205,7 @@ class TestVerify:
         if as_json:
             assert json.loads(out.splitlines()[-1])["summary"]["failed_k"] == [5]
         else:
-            assert "FAIL" in out.splitlines()[1] and "FAILURES at k=[5]" in out
+            assert out.splitlines()[1].endswith("FAIL failed=forced") and "FAILURES at k=[5]" in out
 
 
 class TestBench:

@@ -88,14 +88,24 @@ class TestWalshTransform:
         with pytest.raises(ValueError):
             spectrum.values[0] = 99
 
-    # n = 8 is one 2**8-point row and skips the transpose, n = 9 is a group
-    # of two rows; n = 16 and 17 are part of a 2**17-point group and one
-    # group, with no pass above the group; n = 18..21 are 2, 4, 8 and 16
-    # groups, whose passes above the group run on strips of columns
+    # n = 8 is one 2**8-point row and skips the byte-major stage, n = 9 is
+    # a group of two rows; n = 16 and 17 are part of a 2**17-point group and
+    # one group, with no pass above the group; n = 18..21 are 2, 4, 8 and 16
+    # groups, whose passes above the group run on strips of columns.
+    # n <= 14 runs wholly in int16; n = 15 is the first size whose all-zero
+    # table, with W(0) = 2**15, overflows int16 if the widening to int32
+    # comes one pass later
     @pytest.mark.parametrize("n", [4, 8, 9, 13, 14, 15, 16, 17, 18, 19, 20, 21])
     def test_matches_int64_butterfly(self, n):
         for t in kernel_tables(n):
             assert np.array_equal(walsh_transform(t).values, butterfly_int64(t))
+
+    # the one-row path (n <= 8), a group of two rows (n = 9), the last table
+    # with no int32 pass (n = 14) and the first with one (n = 15), and one
+    # and two groups (n = 17, 18)
+    @pytest.mark.parametrize("n", [0, 3, 8, 9, 14, 15, 17, 18])
+    def test_values_are_int32(self, n):
+        assert walsh_transform(random_table(n, np.random.default_rng(n))).values.dtype == np.int32
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_every_sub_byte_table_matches_definition(self, n):
