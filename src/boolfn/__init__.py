@@ -14,6 +14,7 @@ from .majority import (
     VERIFY_MAX_K,
     IdentityResult,
     MajorityReport,
+    SpectrumSweep,
     binomial,
     first_quarter,
     iter_reports,
@@ -37,6 +38,7 @@ from .spectral import (
     brute_force_nonlinearity,
     check_weight_equals_nonlinearity,
     concat_nonlinearity,
+    join_spectra,
     nonlinearity,
     walsh_transform,
 )
@@ -58,6 +60,7 @@ __all__ = [
     "IdentityResult",
     "MajorityReport",
     "PointVector",
+    "SpectrumSweep",
     "TruthTable",
     "VERIFY_MAX_K",
     "WalshSpectrum",
@@ -73,6 +76,7 @@ __all__ = [
     "from_bitstring",
     "from_hex",
     "is_affine",
+    "join_spectra",
     "iter_reports",
     "left_half",
     "majority",

@@ -21,6 +21,10 @@ int32 table, where the passes h = 2**14..2**16 finish it.  Above the
 group the table is a grid of rows of 2**17 points, and one strip routine
 runs the remaining passes down its columns in int32: it copies a strip
 of columns into the buffer, transforms it there and writes it back.
+The transform can write into a caller's int32 array instead of a new one,
+and join_spectra runs its last pass alone: two spectra side by side, of a
+and of b, become the spectrum of concat(a, b) in one pass, in place or
+into another array.
 Nonlinearity comes out of the spectrum as 2**(n-1) - max|W|/2.
 One grouped walk takes every peak: the largest sum of |W| over one or
 more spectra, read one group at a time into reused buffers of at most
@@ -162,19 +166,33 @@ class WalshSpectrum:
         return (1 << (self.n - 1)) - self.max_abs() // 2
 
 
-def walsh_transform(t: TruthTable) -> WalshSpectrum:
-    """The exact int32 spectrum of t, as a read-only array (see the module docstring)."""
+def _check_target(array: np.ndarray, size: int, name: str) -> None:
+    """ValueError unless the array a spectrum is written into is a writable
+    C-contiguous int32 array of size entries."""
+    if array.dtype != np.int32 or array.shape != (size,) or not (array.flags.c_contiguous and array.flags.writeable):
+        raise ValueError(f"{name} must be a writable C-contiguous int32 array of {size} entries")
+
+
+def walsh_transform(t: TruthTable, out: np.ndarray | None = None) -> WalshSpectrum:
+    """The exact int32 spectrum of t, as a read-only array (see the module docstring).
+
+    With out, a writable C-contiguous int32 array of t.size entries, the
+    spectrum is written into out and returned as a read-only view of it."""
+    if out is None:
+        out = values = np.empty(t.size, dtype=np.int32)
+    else:
+        _check_target(out, t.size, "out")
+        values = out.view()  # made read-only below, while out stays writable
     raw = np.frombuffer(pack_bits(t.bits, t.size), dtype=np.uint8)
     spectra = _BYTE_SPECTRA[min(t.n, 3)]  # passes h = 1, 2, 4 done
     if t.size <= _ROW_POINTS:  # one row: byte-major is table order
         narrow = spectra[raw].reshape(-1)
         _butterfly(narrow, 8)
-        values = narrow.astype(np.int32)
+        np.copyto(out, narrow)
     else:
         group_points = min(_GROUP_POINTS, t.size)
         rows = group_points // _ROW_POINTS
         narrow_points = min(_NARROW_POINTS, group_points)
-        values = np.empty(t.size, dtype=np.int32)
         buffer = np.empty(group_points, dtype=np.int32)
         # the int16 stage holds a group twice, byte-major and then in table order
         byte_major, narrow = buffer.view(np.int16).reshape(2, group_points)
@@ -186,13 +204,40 @@ def walsh_transform(t: TruthTable) -> WalshSpectrum:
             _butterfly(byte_major, 8 * rows)  # the column bits, h = 8..128
             np.copyto(narrow.reshape(rows, -1, 8), byte_major.reshape(-1, rows, 8).transpose(1, 0, 2))
             _butterfly(narrow.reshape(-1, narrow_points), _ROW_POINTS)
-            group = values[start : start + group_points]
+            group = out[start : start + group_points]
             np.copyto(group, narrow)
             _butterfly(group, narrow_points)
         if t.size > group_points:  # the passes above the group
-            _column_passes(values.reshape(-1, group_points), buffer, 1)
+            _column_passes(out.reshape(-1, group_points), buffer, 1)
     values.setflags(write=False)
     return WalshSpectrum(t.n, values)
+
+
+def join_spectra(halves: np.ndarray, out: np.ndarray | None = None) -> WalshSpectrum:
+    """The spectrum of concat(a, b) from W_a and W_b side by side in halves,
+    a C-contiguous int32 array: the transform's last butterfly pass,
+    W(0||w) = W_a(w) + W_b(w) and W(1||w) = W_a(w) - W_b(w).
+
+    The pass runs in place over halves, or writes into out, a writable
+    C-contiguous int32 array of halves.size entries, and the result is a
+    read-only view of the array written.  On n = log2(halves.size) variables
+    it is exact in int32 because |W_a| + |W_b| <= 2**n <= 2**30."""
+    n = halves.size.bit_length() - 1
+    if halves.dtype != np.int32 or halves.ndim != 1 or n < 1 or halves.size != 1 << n:
+        raise ValueError("halves must be a 1-D int32 array of two spectra of 2**m entries each")
+    check_vars(n)  # as concat would refuse it; the bound needs n <= 30
+    if out is None:
+        _check_target(halves, halves.size, "halves")
+        _butterfly(halves, halves.size // 2)
+        out = halves
+    else:
+        _check_target(out, halves.size, "out")
+        left, right = halves.reshape(2, -1)
+        np.add(left, right, out=out[: left.size])
+        np.subtract(left, right, out=out[left.size :])
+    values = out.view()
+    values.setflags(write=False)
+    return WalshSpectrum(n, values)
 
 
 def concat_nonlinearity(left: WalshSpectrum, right: WalshSpectrum) -> int:

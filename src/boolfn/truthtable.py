@@ -44,7 +44,9 @@ _NON_HEX = re.compile(r"[^0-9a-fA-F]")
 
 def max_vars() -> int:
     """Largest allowed variable count: 30, or BOOLFN_MAX_N (an integer in 0..30)."""
-    raw = os.environ.get(_MAX_VARS_ENV, str(_DEFAULT_MAX_VARS))
+    raw = os.environ.get(_MAX_VARS_ENV)  # read on every call, so a changed setting counts
+    if raw is None:
+        return _DEFAULT_MAX_VARS
     if not raw.strip().isdecimal() or int(raw) > _DEFAULT_MAX_VARS:
         raise ValueError(f"{_MAX_VARS_ENV} must be an integer in 0..{_DEFAULT_MAX_VARS}, got {raw!r}")
     return int(raw)

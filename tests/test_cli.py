@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib
 import json
 
@@ -179,6 +180,20 @@ class TestVerify:
         assert lines[-1]["summary"]["all_passed"] is True
         assert lines[-1]["summary"]["failed_k"] == []
 
+    # the bytes of the full sweep, pinned so that a faster path cannot change them
+    @pytest.mark.parametrize(
+        "flags,digest",
+        [
+            ([], "027e23f3ddad677f5a291c1d863cf5011f1026c4a564113ecad3e2e1909b6f55"),
+            (["--json"], "a15bb06b7217bc126b52e6a5088d53d7fd06e0b47b6bf4b937260c0788b12eeb"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_full_sweep_output_is_pinned(self, capsys, flags, digest):
+        code, out, _ = run(capsys, "verify", "--max-k", "24", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_low_bound_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--max-k", "3")
         assert code == 2 and "4..24" in err
@@ -195,8 +210,8 @@ class TestVerify:
         module = importlib.import_module("boolfn.majority")  # boolfn.majority is the function
         real = module.majority_report
 
-        def broken(k):
-            rep = real(k)
+        def broken(k, *args, **kwargs):
+            rep = real(k, *args, **kwargs)
             return dataclasses.replace(rep, identities=(IdentityResult("forced", False),)) if k == 5 else rep
 
         monkeypatch.setattr(module, "majority_report", broken)
@@ -261,7 +276,7 @@ class TestOutOfMemory:
         assert err == "error: out of memory on a table of 5 variables (2**5 points)\n"
 
     def test_bare_memory_error_exits_2(self, capsys, monkeypatch):
-        def exhausted(k):
+        def exhausted(k, *args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(importlib.import_module("boolfn.majority"), "majority_report", exhausted)

@@ -10,10 +10,12 @@ import pytest
 
 from boolfn import (
     BINOMIAL_MAX,
+    SpectrumSweep,
     VERIFY_MAX_K,
     TruthTable,
     binomial,
     first_quarter,
+    iter_reports,
     left_half,
     majority,
     majority_report,
@@ -34,6 +36,20 @@ MAJ5 = "00000001000101110001011101111111"
 def weight_at_least(m: int, t: int) -> int:
     """Weight of threshold(m, t), counted: the points of weight >= t on m variables."""
     return sum(math.comb(m, j) for j in range(t, m + 1))
+
+
+def count_transforms(monkeypatch) -> list[int]:
+    """The variable counts of the tables majority.py transforms from now on, in order."""
+    module = importlib.import_module("boolfn.majority")
+    calls = []
+    transform = module.walsh_transform
+
+    def counted(t, *args, **kwargs):
+        calls.append(t.n)
+        return transform(t, *args, **kwargs)
+
+    monkeypatch.setattr(module, "walsh_transform", counted)
+    return calls
 
 
 class TestConstruction:
@@ -221,17 +237,24 @@ class TestReports:
         assert not outcome["left_half_weight_equals_nonlinearity"]
 
     def test_one_transform_per_report(self, monkeypatch):
-        # one transform of each half: N(m) comes from the halves' spectra
+        # one transform of each half: N(m) comes from the halves' spectra,
+        # and from k = 5 on the half that is majority(k - 1) is carried
         module = importlib.import_module("boolfn.majority")
         calls = []
         transform = module.walsh_transform
 
-        def counted(t):
+        def counted(t, *args, **kwargs):
             calls.append(t.n)
-            return transform(t)
+            return transform(t, *args, **kwargs)
 
         monkeypatch.setattr(module, "walsh_transform", counted)
         reports = verify_identities(12)
+        assert all(rep.all_passed() for rep in reports)
+        assert calls == [3, 3] + [k - 1 for k in range(5, 13)]
+
+    def test_two_transforms_per_standalone_report(self, monkeypatch):
+        calls = count_transforms(monkeypatch)
+        reports = [majority_report(k) for k in range(4, 13)]
         assert all(rep.all_passed() for rep in reports)
         assert calls == [k - 1 for k in range(4, 13) for _ in range(2)]
 
@@ -239,3 +262,58 @@ class TestReports:
     def test_nonlinearity_equals_direct_transform(self, k):
         # past the oracle's range, the report's N(m) against m's own spectrum
         assert majority_report(k).nonlinearity == walsh_transform(majority(k)).nonlinearity()
+
+
+class TestSweepCarry:
+    """iter_reports carries majority(k - 1)'s spectrum from one report to the next."""
+
+    def test_every_pair_of_half_spectra_is_the_fresh_transform(self, monkeypatch):
+        module = importlib.import_module("boolfn.majority")
+        join = module.concat_nonlinearity
+        seen = []
+
+        def spy(w_a, w_b):
+            # compared at the call: the next report overwrites the sweep's buffer
+            k = w_a.n + 1
+            a, b = majority(k).halves()
+            assert np.array_equal(w_a.values, walsh_transform(a).values), k
+            assert np.array_equal(w_b.values, walsh_transform(b).values), k
+            seen.append(k)
+            return join(w_a, w_b)
+
+        monkeypatch.setattr(module, "concat_nonlinearity", spy)
+        assert all(rep.all_passed() for rep in iter_reports(20))
+        assert seen == list(range(4, 21))
+
+    def test_sweep_reports_equal_standalone_reports(self):
+        for rep in iter_reports(20):
+            assert rep.to_dict() == majority_report(rep.k).to_dict()
+
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_a_carried_table_of_another_size_is_not_reused(self, k):
+        # the sweep skips k - 1, so the carried table majority(k - 2) is no half of majority(k)
+        sweep = SpectrumSweep(k)
+        majority_report(k - 2, sweep)
+        assert majority_report(k, sweep).to_dict() == majority_report(k).to_dict()
+        assert sweep.table == majority(k)
+
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_a_carried_table_that_differs_falls_back_to_fresh_transforms(self, monkeypatch, k):
+        # whatever the buffer holds, a carried table unequal to majority(k - 1) is not read
+        expected = majority_report(k).to_dict()
+        sweep = SpectrumSweep(k)
+        majority_report(k - 1, sweep)
+        sweep.table = sweep.table.complement()
+        sweep.values[:] = 0
+        calls = count_transforms(monkeypatch)
+        assert majority_report(k, sweep).to_dict() == expected
+        assert calls == [k - 1, k - 1]
+
+    def test_the_buffer_must_hold_the_report(self):
+        with pytest.raises(ValueError, match="sweep buffer holds 256 points"):
+            majority_report(9, SpectrumSweep(8))
+
+    @pytest.mark.parametrize("k", range(5, 17))
+    def test_previous_majority_is_a_half(self, k):
+        # the right half for odd k, the left half for even k
+        assert majority(k).halves()[k % 2] == majority(k - 1)

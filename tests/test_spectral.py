@@ -20,6 +20,7 @@ from boolfn import (
     concat,
     concat_nonlinearity,
     from_bitstring,
+    join_spectra,
     max_vars,
     nonlinearity,
     random_table,
@@ -87,6 +88,36 @@ class TestWalshTransform:
         spectrum = walsh_transform(from_bitstring("0110"))
         with pytest.raises(ValueError):
             spectrum.values[0] = 99
+
+    # the one-row path (n = 0, 3, 8), one group (n = 17) and two (n = 18)
+    @pytest.mark.parametrize("n", [0, 3, 8, 17, 18])
+    def test_out_holds_the_same_values(self, n):
+        t = random_table(n, np.random.default_rng(n))
+        out = np.full(t.size, 7, dtype=np.int32)
+        spectrum = walsh_transform(t, out=out)
+        assert np.array_equal(spectrum.values, walsh_transform(t).values)
+        assert np.shares_memory(spectrum.values, out)
+
+    def test_out_stays_writable_under_a_read_only_result(self):
+        out = np.empty(4, dtype=np.int32)
+        spectrum = walsh_transform(from_bitstring("0110"), out=out)
+        with pytest.raises(ValueError):
+            spectrum.values[0] = 99
+        out[0] = 99
+        assert spectrum.values[0] == 99
+
+    @pytest.mark.parametrize("kind", ["int64", "size", "strided", "read-only"])
+    def test_bad_out_is_refused(self, kind):
+        out = {
+            "int64": np.empty(8, dtype=np.int64),
+            "size": np.empty(4, dtype=np.int32),
+            "strided": np.empty(16, dtype=np.int32)[::2],
+            "read-only": np.empty(8, dtype=np.int32),
+        }[kind]
+        if kind == "read-only":
+            out.setflags(write=False)
+        with pytest.raises(ValueError, match="out must be a writable C-contiguous int32 array of 8 entries"):
+            walsh_transform(TruthTable(3, 0b10010110), out=out)
 
     # n = 8 is one 2**8-point row and skips the byte-major stage, n = 9 is
     # a group of two rows; n = 16 and 17 are part of a 2**17-point group and
@@ -219,6 +250,43 @@ class TestConcatNonlinearity:
         monkeypatch.setenv("BOOLFN_MAX_N", "3")
         with pytest.raises(ValueError):
             concat_nonlinearity(*halves)
+
+
+class TestJoinSpectra:
+    @given(st.integers(0, 9), st.data())
+    @settings(max_examples=60)
+    def test_equals_the_spectrum_of_the_concatenation(self, n, data):
+        a, b = (data.draw(truth_tables(min_n=n, max_n=n)) for _ in range(2))
+        expected = walsh_transform(concat(a, b)).values
+        halves = np.concatenate([walsh_transform(a).values, walsh_transform(b).values])
+        out = np.empty_like(halves)
+        written = join_spectra(halves, out=out)
+        assert np.array_equal(written.values, expected) and np.shares_memory(written.values, out)
+        joined = join_spectra(halves)  # in place, after the out-of-place pass left halves as they were
+        assert joined.n == n + 1 and np.array_equal(joined.values, expected)
+        assert np.shares_memory(joined.values, halves)
+        with pytest.raises(ValueError):
+            joined.values[0] = 0
+
+    @pytest.mark.parametrize("size,dtype", [(1, np.int32), (6, np.int32), (8, np.int64)])
+    def test_bad_halves_are_refused(self, size, dtype):
+        with pytest.raises(ValueError, match="halves must be"):
+            join_spectra(np.zeros(size, dtype=dtype))
+
+    def test_bad_out_is_refused(self):
+        with pytest.raises(ValueError, match="out must be"):
+            join_spectra(np.zeros(8, dtype=np.int32), out=np.zeros(4, dtype=np.int32))
+
+    def test_read_only_halves_are_not_joined_in_place(self):
+        halves = walsh_transform(TruthTable(3, 0b10010110)).values
+        with pytest.raises(ValueError, match="halves must be a writable C-contiguous int32 array of 8 entries"):
+            join_spectra(halves)
+        assert join_spectra(halves, out=np.empty(8, dtype=np.int32)).n == 3
+
+    def test_join_must_fit_the_cap(self, monkeypatch):
+        monkeypatch.setenv("BOOLFN_MAX_N", "3")
+        with pytest.raises(ValueError, match="variable count 4 outside 0..3"):
+            join_spectra(np.zeros(16, dtype=np.int32))
 
 
 class TestNonlinearity:
