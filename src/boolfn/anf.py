@@ -38,16 +38,21 @@ def _mobius(bits: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _name_tables(n: int) -> tuple[tuple[str, ...], tuple[str, ...], int]:
-    """Monomial names of the high and low halves of the index bits, and the
-    low half's width: the name of m is high[m >> low_bits] + low[m & mask]."""
-    low_bits = n // 2
+def _name_tables(n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Monomial names of the high and low parts of the index bits, as
+    read-only object arrays of str, and the low part's width: the name of m
+    is high[m >> low_bits] + low[m & mask].  The low part takes up to 12
+    bits, so every n <= 12 has the one prefix "", and neither table passes
+    2**15 names at n = 30."""
+    low_bits = max(n // 2, min(n, 12))
 
-    def table(first: int, stop: int) -> tuple[str, ...]:
+    def table(first: int, stop: int) -> np.ndarray:
         names = [""]
         for p in range(first, stop):  # bit p is x_{n-p}, which is written first
             names += [f"x{n - p}{rest}" for rest in names]
-        return tuple(names)
+        shared = np.array(names, dtype=object)
+        shared.flags.writeable = False
+        return shared
 
     return table(low_bits, n), table(0, low_bits), low_bits
 
@@ -71,18 +76,20 @@ class AnfTable:
         return TruthTable(self.n, _mobius(self.coeffs, self.n))
 
     @cached_property
-    def _indices(self) -> np.ndarray:
-        """Set coefficient indices, ascending."""
-        return np.flatnonzero(unpack_bits(self.coeffs, 1 << self.n))
+    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Set coefficient indices, ascending, and their popcounts: the
+        monomial sizes, which degree() and render() share."""
+        idx = np.flatnonzero(unpack_bits(self.coeffs, 1 << self.n))
+        return idx, np.bitwise_count(idx)
 
     def monomials(self) -> list[int]:
         """Set coefficient indices, ascending."""
-        return self._indices.tolist()
+        return self._terms[0].tolist()
 
     def degree(self) -> int:
         """Largest monomial size; 0 for the constants (see is_constant)."""
-        idx = self._indices
-        return int(np.bitwise_count(idx).max()) if idx.size else 0
+        sizes = self._terms[1]
+        return int(sizes.max()) if sizes.size else 0
 
     def monomial_string(self, m: int) -> str:
         if not 0 <= m < 1 << self.n:
@@ -97,18 +104,24 @@ class AnfTable:
 
         Within one degree the variable tuples ascend lexicographically, which
         is descending m because x1 sits in the top index bit."""
-        idx = self._indices
+        idx, sizes = self._terms
         if not idx.size:
             return "0"
         # (degree, m) packed into one key; keys are distinct, so reversing the
         # ascending sort gives the descending order
-        keys = np.sort(np.bitwise_count(idx).astype(idx.dtype) << self.n | idx)[::-1]
-        ms = keys & ((1 << self.n) - 1)
+        keys = np.sort(np.left_shift(sizes, self.n, dtype=idx.dtype) | idx)[::-1]
         high, low, low_bits = _name_tables(self.n)
-        terms = [high[h] + low[l] for h, l in zip((ms >> low_bits).tolist(), (ms & (len(low) - 1)).tolist())]
-        if self.coeffs & 1:  # the constant monomial has degree 0, so it is last
-            terms[-1] = "1"
-        return " + ".join(terms)
+        names = low.take(keys & (len(low) - 1)).tolist()  # the shared str objects
+        # a run is a stretch of terms with one high part of m, so one name prefix
+        tops = keys & ((1 << self.n) - len(low))
+        cuts = [i + 1 for i in (tops[1:] != tops[:-1]).nonzero()[0].tolist()]
+        runs = []
+        for start, stop in zip([0] + cuts, cuts + [len(names)]):
+            prefix = high[tops.item(start) >> low_bits]
+            runs.append(prefix + (" + " + prefix).join(names[start:stop]))
+        # the constant monomial has degree 0, so it is last, named ""
+        text = " + ".join(runs)
+        return text + "1" if self.coeffs & 1 else text
 
 
 def to_anf(t: TruthTable) -> AnfTable:

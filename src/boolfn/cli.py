@@ -96,7 +96,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.text:
             print("\n".join(f"{key}: {value}" for key, value in payload.items()))
         else:
-            print(json.dumps(payload, indent=2))
+            # json's escape scan of the ANF costs more than the rest of the
+            # dump; its alphabet, [0-9x +], needs no escape, so it is written
+            # between the dumped text's pieces as it is, with no joined copy
+            anf, payload["anf"] = payload["anf"], ""
+            text = json.dumps(payload, indent=2)
+            at = text.index('"anf": "') + len('"anf": "')
+            sys.stdout.write(text[:at])
+            sys.stdout.write(anf)
+            sys.stdout.write(text[at:] + "\n")
     return 0
 
 

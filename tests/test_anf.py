@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolfn import AnfTable, TruthTable, degree, from_bitstring, is_affine, random_table, to_anf
+from boolfn.anf import _name_tables
 
 from conftest import truth_tables
 
@@ -39,6 +40,15 @@ def definition_render(t: TruthTable) -> str:
             terms.append(tuple(t.n - p for p in range(t.n - 1, -1, -1) if (m >> p) & 1))
     terms.sort(key=lambda vs: (-len(vs), vs))
     return " + ".join("".join(f"x{v}" for v in vs) or "1" for vs in terms) or "0"
+
+
+def per_term_render(a: AnfTable) -> str:
+    """ANF text one monomial_string per term, sorted by (-size, -m)."""
+    ms = sorted(a.monomials(), key=lambda m: (-m.bit_count(), -m))
+    return " + ".join(a.monomial_string(m) for m in ms) or "0"
+
+
+ANF_ALPHABET = re.compile(r"^(0|[0-9x +]+)$")  # nothing in it needs a JSON escape
 
 
 class TestMobius:
@@ -156,6 +166,65 @@ class TestRendering:
     @settings(max_examples=60)
     def test_render_matches_definition(self, t):
         assert to_anf(t).render() == definition_render(t)
+
+    @given(truth_tables())
+    @settings(max_examples=60)
+    def test_render_alphabet(self, t):
+        assert ANF_ALPHABET.match(to_anf(t).render())
+
+    def test_one_name_prefix_up_to_12_variables(self):
+        for n in range(13):
+            assert len(_name_tables(n)[0]) == 1
+        assert len(_name_tables(13)[0]) == 2
+
+    def test_name_tables_at_the_cap(self):
+        high, low, low_bits = _name_tables(30)
+        assert len(high) == len(low) == 1 << 15 and low_bits == 15
+        a = AnfTable(30, 0)
+        assert a.monomial_string((1 << 30) - 1) == "".join(f"x{v}" for v in range(1, 31))
+        # bit p is x_{30-p}; bits 14 and 15 sit on either side of the split
+        assert [a.monomial_string(1 << p) for p in (0, 14, 15, 29)] == ["x30", "x16", "x15", "x1"]
+        assert a.monomial_string((1 << 15) | (1 << 14)) == "x15x16"
+
+
+class TestRenderRuns:
+    """Above 12 variables a term's name is a high-part prefix plus a low-part
+    name, and render() writes one run of terms per prefix."""
+
+    WIDE = range(13, 17)
+
+    @staticmethod
+    def check(a: AnfTable) -> str:
+        text = a.render()
+        assert text == per_term_render(a)
+        assert ANF_ALPHABET.match(text)
+        return text
+
+    @pytest.mark.parametrize("n", WIDE)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_tables(self, n, seed):
+        a = to_anf(random_table(n, np.random.default_rng(seed)))
+        for coeffs in (a.coeffs | 1, a.coeffs & ~1):  # the constant term set and unset
+            self.check(AnfTable(n, coeffs))
+
+    @pytest.mark.parametrize("n", WIDE)
+    def test_every_monomial(self, n):
+        text = self.check(AnfTable(n, (1 << (1 << n)) - 1))
+        assert text.startswith("".join(f"x{v}" for v in range(1, n + 1)) + " + ")
+        assert text.endswith(f" + x{n} + 1")
+
+    @pytest.mark.parametrize("n", WIDE)
+    def test_sparse_tables(self, n):
+        top = (1 << n) - 1
+        ones = TruthTable(n, (1 << (1 << n)) - 1)
+        assert self.check(to_anf(ones)) == "1"
+        assert self.check(to_anf(TruthTable(n, 1 << top))) == "".join(f"x{v}" for v in range(1, n + 1))
+        # one term per run: x1 alone, then the constant
+        assert self.check(AnfTable(n, (1 << (1 << (n - 1))) | 1)) == "x1 + 1"
+        # one run across two degrees (top and top - 1 share the high part), then runs of one term
+        coeffs = 1 << top | 1 << (top - 1) | 1 << (top >> 1) | 1 << 3
+        self.check(AnfTable(n, coeffs))
+        self.check(AnfTable(n, coeffs | 1))
 
 
 class TestAffinePredicate:

@@ -7,9 +7,10 @@ import hashlib
 import importlib
 import json
 
+import numpy as np
 import pytest
 
-from boolfn import IdentityResult, TruthTable, WalshSpectrum, from_bitstring, walsh_transform
+from boolfn import IdentityResult, TruthTable, WalshSpectrum, from_bitstring, random_table, walsh_transform
 from boolfn.cli import analyze_table, main
 
 MAJ5 = "00000001000101110001011101111111"
@@ -126,6 +127,16 @@ class TestAnalyze:
         report = analyze_table(from_bitstring("0001000000000001"))
         assert calls == [4]
         assert report.nonlinearity == 2 and report.weight_equals_nonlinearity == "pass"
+
+    # the ANF is written into the JSON text unescaped; the bytes must be json's own
+    @pytest.mark.parametrize("n", range(2, 17))
+    @pytest.mark.parametrize("flags", [[], ["--spectrum"]], ids=["plain", "spectrum"])
+    def test_json_output_is_json_dumps(self, capsys, n, flags):
+        t = random_table(n, np.random.default_rng(n))
+        code, out, _ = run(capsys, "analyze", "--tt", t.to_hex(), *flags)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert json.loads(out)["anf"] == analyze_table(t).anf
 
     def test_consistency_invariant(self, capsys):
         _, out, _ = run(capsys, "analyze", "--tt", MAJ5)
