@@ -8,13 +8,12 @@ family ships with closed-form predictions plus an identity checker.
 
 from __future__ import annotations
 
-from .anf import AnfTable, degree, is_affine, to_anf
+from .anf import AffineSpec, AnfTable, affine_table, degree, is_affine, to_anf
 from .majority import (
     BINOMIAL_MAX,
     VERIFY_MAX_K,
     IdentityResult,
     MajorityReport,
-    SpectrumSweep,
     binomial,
     first_quarter,
     iter_reports,
@@ -31,14 +30,12 @@ from .majority import (
     verify_identities,
 )
 from .spectral import (
-    AffineSpec,
+    SpectrumSweep,
     WalshSpectrum,
     WeightNonlinearityCheck,
-    affine_table,
     brute_force_nonlinearity,
     check_weight_equals_nonlinearity,
     concat_nonlinearity,
-    join_spectra,
     nonlinearity,
     walsh_transform,
 )
@@ -76,7 +73,6 @@ __all__ = [
     "from_bitstring",
     "from_hex",
     "is_affine",
-    "join_spectra",
     "iter_reports",
     "left_half",
     "majority",

@@ -3,7 +3,8 @@
 Coefficient index m encodes the monomial that multiplies the variables
 whose index bits are set in m (same bit convention as truth tables, so
 bit p stands for x_{n-p}).  The transform is an XOR butterfly done
-directly on the packed bits, and it is its own inverse.
+directly on the packed bits, and it is its own inverse, so an affine
+table is built as the transform of its degree-1 ANF.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .truthtable import TruthTable, check_table, unpack_bits
+from .truthtable import TruthTable, check_table, check_vars, unpack_bits
 
 
 def _low_mask(block: int, size: int) -> int:
@@ -122,6 +123,34 @@ class AnfTable:
         # the constant monomial has degree 0, so it is last, named ""
         text = " + ".join(runs)
         return text + "1" if self.coeffs & 1 else text
+
+
+@dataclass(frozen=True)
+class AffineSpec:
+    """a(x) = constant + mask.x mod 2; mask bits align with index bits."""
+
+    mask: int
+    constant: int
+
+    def __post_init__(self) -> None:
+        if self.mask < 0:
+            raise ValueError("mask must be nonnegative")
+        if self.constant not in (0, 1):
+            raise ValueError("constant must be 0 or 1")
+
+
+def affine_table(spec: AffineSpec, n: int) -> TruthTable:
+    """Truth table of the affine function; table bit i = c + parity(mask & i).
+
+    It is the Moebius transform of its ANF, which has the constant at
+    coefficient 0 and mask bit p, the variable x_{n-p}, at coefficient 2**p."""
+    check_vars(n)  # before any table-sized integer is built
+    if spec.mask >> n:
+        raise ValueError(f"mask {spec.mask:#x} has bits beyond {n} variables")
+    coeffs = spec.constant | sum(1 << (1 << p) for p in range(n) if spec.mask >> p & 1)
+    return AnfTable(n, coeffs).to_truthtable()
+
+
 
 
 def to_anf(t: TruthTable) -> AnfTable:

@@ -94,7 +94,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.spectrum:
             payload["walsh_spectrum"] = spectrum.values.tolist()
         if args.text:
-            print("\n".join(f"{key}: {value}" for key, value in payload.items()))
+            for key, value in payload.items():
+                print(f"{key}:", value)  # print writes value as it is, with no joined copy
         else:
             # json's escape scan of the ANF costs more than the rest of the
             # dump; its alphabet, [0-9x +], needs no escape, so it is written

@@ -8,11 +8,12 @@ half, and both the weights of the pieces and the nonlinearity have
 exact binomial closed forms.  verify_identities() rebuilds every table
 and checks each identity bit-exactly or integer-exactly against measured
 values.  A report measures majority(k) through the spectra of its two
-halves.  One of them is majority(k - 1), the right half for odd k and the
-left half for even k, so a sweep over k carries each report's two half
-spectra to the next in one buffer, where one butterfly pass joins them
-into majority(k - 1)'s; only the other half is transformed afresh, and
-only after the half is checked equal to the table the sweep carries.
+halves, which a SpectrumSweep writes into its buffer.  One of them is
+majority(k - 1), the right half for odd k and the left half for even k,
+so when iter_reports passes the same sweep from report to report, that
+half is found equal to the table the sweep carries and its spectrum is
+joined from the previous report's; only the other half is transformed
+afresh.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .spectral import WalshSpectrum, brute_force_nonlinearity, concat_nonlinearity, join_spectra, walsh_transform
+from .spectral import SpectrumSweep, brute_force_nonlinearity, concat_nonlinearity, walsh_transform
 from .truthtable import TruthTable, check_vars, concat
 
 VERIFY_MAX_K = 24  # spectrum-verified range; closed forms alone go to BINOMIAL_MAX
@@ -186,46 +187,12 @@ class MajorityReport:
         }
 
 
-class SpectrumSweep:
-    """What one report of a sweep leaves for the next: the spectra of its
-    table's two halves side by side at the front of one int32 buffer of
-    2**k_max entries, and that table.  Each report overwrites the buffer, so
-    a spectrum in it is valid only until the next report."""
-
-    def __init__(self, k_max: int) -> None:
-        check_vars(k_max)
-        self.values = np.empty(1 << k_max, dtype=np.int32)  # a page is touched when first written
-        self.table: TruthTable | None = None
-
-
-def _half_spectra(m: TruthTable, a: TruthTable, b: TruthTable, sweep: SpectrumSweep | None) -> list[WalshSpectrum]:
-    """The spectra of m's halves a and b, written into the sweep's buffer if
-    there is one.  majority(k - 1) is one half of majority(k), the right one
-    for odd k and the left one for even k; when that half equals the table
-    the sweep carries, its spectrum is the join of the carried halves'."""
-    if sweep is None:
-        return [walsh_transform(a), walsh_transform(b)]
-    if m.size > sweep.values.size:
-        raise ValueError(f"sweep buffer holds {sweep.values.size} points, a report on {m.n} variables needs {m.size}")
-    halves, slots = (a, b), sweep.values[: m.size].reshape(2, -1)
-    carried, sweep.table = sweep.table, None  # the slots are about to change
-    spectra: list[WalshSpectrum | None] = [None, None]
-    reused = m.n % 2
-    if halves[reused] == carried:
-        # the carried halves' spectra fill slot 0: join them in place, or into slot 1
-        spectra[reused] = join_spectra(slots[0], out=slots[1] if reused else None)
-    for i, half in enumerate(halves):
-        if spectra[i] is None:
-            spectra[i] = walsh_transform(half, out=slots[i])
-    sweep.table = m
-    return spectra
-
-
 def majority_report(k: int, sweep: SpectrumSweep | None = None) -> MajorityReport:
     """Construct majority(k), measure it, and check every applicable identity.
 
-    In a sweep, the spectrum of the half that is majority(k - 1) comes from
-    the previous report's (see SpectrumSweep); the report is the same."""
+    The halves' spectra are written into sweep, a new SpectrumSweep(k) when
+    none is given; in a sweep that carries majority(k - 1), that half's
+    spectrum comes from the previous report's.  The report is the same."""
     if not 4 <= k <= VERIFY_MAX_K:
         raise ValueError(f"report range is 4..{VERIFY_MAX_K}, got {k}")
 
@@ -233,7 +200,7 @@ def majority_report(k: int, sweep: SpectrumSweep | None = None) -> MajorityRepor
     a, b = m.halves()
     weight = m.weight()
     # N(m) from its halves' spectra: m's own 2**k-point spectrum is never built
-    w_a, w_b = _half_spectra(m, a, b, sweep)
+    w_a, w_b = (sweep or SpectrumSweep(k)).half_spectra(m, a, b)
     measured = concat_nonlinearity(w_a, w_b)
     predicted = predicted_nonlinearity(k)
 

@@ -21,10 +21,12 @@ int32 table, where the passes h = 2**14..2**16 finish it.  Above the
 group the table is a grid of rows of 2**17 points, and one strip routine
 runs the remaining passes down its columns in int32: it copies a strip
 of columns into the buffer, transforms it there and writes it back.
-The transform can write into a caller's int32 array instead of a new one,
-and join_spectra runs its last pass alone: two spectra side by side, of a
-and of b, become the spectrum of concat(a, b) in one pass, in place or
-into another array.
+The transform can write into a caller's int32 array instead of a new one.
+A SpectrumSweep owns one such array for a run of tables, each a half of
+the next: it writes the spectra of a table's two halves side by side and
+keeps the table, and when a half of the next table equals it, the
+transform's last pass alone joins the kept pair into that half's
+spectrum, W(0||w) = W_a(w) + W_b(w) and W(1||w) = W_a(w) - W_b(w).
 Nonlinearity comes out of the spectrum as 2**(n-1) - max|W|/2.
 One grouped walk takes every peak: the largest sum of |W| over one or
 more spectra, read one group at a time into reused buffers of at most
@@ -43,7 +45,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .anf import AnfTable
 from .truthtable import TruthTable, check_same_vars, check_vars, pack_bits
 
 _BRUTE_FORCE_MAX_VARS = 16
@@ -166,23 +167,15 @@ class WalshSpectrum:
         return (1 << (self.n - 1)) - self.max_abs() // 2
 
 
-def _check_target(array: np.ndarray, size: int, name: str) -> None:
-    """ValueError unless the array a spectrum is written into is a writable
-    C-contiguous int32 array of size entries."""
-    if array.dtype != np.int32 or array.shape != (size,) or not (array.flags.c_contiguous and array.flags.writeable):
-        raise ValueError(f"{name} must be a writable C-contiguous int32 array of {size} entries")
-
-
 def walsh_transform(t: TruthTable, out: np.ndarray | None = None) -> WalshSpectrum:
     """The exact int32 spectrum of t, as a read-only array (see the module docstring).
 
     With out, a writable C-contiguous int32 array of t.size entries, the
     spectrum is written into out and returned as a read-only view of it."""
     if out is None:
-        out = values = np.empty(t.size, dtype=np.int32)
-    else:
-        _check_target(out, t.size, "out")
-        values = out.view()  # made read-only below, while out stays writable
+        out = np.empty(t.size, dtype=np.int32)
+    elif out.dtype != np.int32 or out.shape != (t.size,) or not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writable C-contiguous int32 array of {t.size} entries")
     raw = np.frombuffer(pack_bits(t.bits, t.size), dtype=np.uint8)
     spectra = _BYTE_SPECTRA[min(t.n, 3)]  # passes h = 1, 2, 4 done
     if t.size <= _ROW_POINTS:  # one row: byte-major is table order
@@ -209,35 +202,54 @@ def walsh_transform(t: TruthTable, out: np.ndarray | None = None) -> WalshSpectr
             _butterfly(group, narrow_points)
         if t.size > group_points:  # the passes above the group
             _column_passes(out.reshape(-1, group_points), buffer, 1)
-    values.setflags(write=False)
-    return WalshSpectrum(t.n, values)
+    return _read_only(t.n, out)
 
 
-def join_spectra(halves: np.ndarray, out: np.ndarray | None = None) -> WalshSpectrum:
-    """The spectrum of concat(a, b) from W_a and W_b side by side in halves,
-    a C-contiguous int32 array: the transform's last butterfly pass,
-    W(0||w) = W_a(w) + W_b(w) and W(1||w) = W_a(w) - W_b(w).
-
-    The pass runs in place over halves, or writes into out, a writable
-    C-contiguous int32 array of halves.size entries, and the result is a
-    read-only view of the array written.  On n = log2(halves.size) variables
-    it is exact in int32 because |W_a| + |W_b| <= 2**n <= 2**30."""
-    n = halves.size.bit_length() - 1
-    if halves.dtype != np.int32 or halves.ndim != 1 or n < 1 or halves.size != 1 << n:
-        raise ValueError("halves must be a 1-D int32 array of two spectra of 2**m entries each")
-    check_vars(n)  # as concat would refuse it; the bound needs n <= 30
-    if out is None:
-        _check_target(halves, halves.size, "halves")
-        _butterfly(halves, halves.size // 2)
-        out = halves
-    else:
-        _check_target(out, halves.size, "out")
-        left, right = halves.reshape(2, -1)
-        np.add(left, right, out=out[: left.size])
-        np.subtract(left, right, out=out[left.size :])
-    values = out.view()
+def _read_only(n: int, array: np.ndarray) -> WalshSpectrum:
+    """The spectrum on n variables held in array, as a read-only view of it;
+    array itself stays writable."""
+    values = array.view()
     values.setflags(write=False)
     return WalshSpectrum(n, values)
+
+
+class SpectrumSweep:
+    """One int32 buffer of 2**k_max entries that carries the spectra of a
+    table's two halves, side by side at its front, to the next table, and
+    the table they belong to.  Each call overwrites the buffer, so a
+    spectrum in it is valid only until the next call."""
+
+    def __init__(self, k_max: int) -> None:
+        check_vars(k_max)
+        self.values = np.empty(1 << k_max, dtype=np.int32)  # a page is touched when first written
+        self.table: TruthTable | None = None
+
+    def half_spectra(self, t: TruthTable, a: TruthTable, b: TruthTable) -> list[WalshSpectrum]:
+        """The spectra of t's two halves a and b, written into slots 0 and 1,
+        the first and second half of the buffer's first t.size entries.
+
+        The carried pair fills slot 0, so a half equal to the carried table
+        gets its spectrum by the transform's last pass over that pair, in
+        place for slot 0 or into slot 1; a half that is not is transformed
+        afresh.  The join is exact in int32: |W_a| + |W_b| <= 2**(k_max-1)."""
+        if t.size > self.values.size:
+            raise ValueError(f"sweep buffer holds {self.values.size} points, a table on {t.n} variables needs {t.size}")
+        slots = self.values[: t.size].reshape(2, -1)
+        carried, self.table = self.table, None  # the slots are about to change
+        halves, spectra = (a, b), [None, None]
+        for i in (1, 0):  # slot 1 first: slot 0 holds the carried pair until it is written
+            if halves[i] == carried:
+                left, right = slots[0].reshape(2, -1)
+                if i:
+                    np.add(left, right, out=slots[1][: left.size])
+                    np.subtract(left, right, out=slots[1][left.size :])
+                else:
+                    _butterfly(slots[0], left.size)
+                spectra[i] = _read_only(carried.n, slots[i])
+            else:
+                spectra[i] = walsh_transform(halves[i], out=slots[i])
+        self.table = t
+        return spectra
 
 
 def concat_nonlinearity(left: WalshSpectrum, right: WalshSpectrum) -> int:
@@ -279,32 +291,6 @@ def brute_force_nonlinearity(t: TruthTable) -> int:
         d = np.bitwise_count(words ^ patterns).sum(axis=1)
         best = min(best, int(d.min()), size - int(d.max()))
     return best
-
-
-@dataclass(frozen=True)
-class AffineSpec:
-    """a(x) = constant + mask.x mod 2; mask bits align with index bits."""
-
-    mask: int
-    constant: int
-
-    def __post_init__(self) -> None:
-        if self.mask < 0:
-            raise ValueError("mask must be nonnegative")
-        if self.constant not in (0, 1):
-            raise ValueError("constant must be 0 or 1")
-
-
-def affine_table(spec: AffineSpec, n: int) -> TruthTable:
-    """Truth table of the affine function; table bit i = c + parity(mask & i).
-
-    It is the Moebius transform of its ANF, which has the constant at
-    coefficient 0 and mask bit p, the variable x_{n-p}, at coefficient 2**p."""
-    check_vars(n)  # before any table-sized integer is built
-    if spec.mask >> n:
-        raise ValueError(f"mask {spec.mask:#x} has bits beyond {n} variables")
-    coeffs = spec.constant | sum(1 << (1 << p) for p in range(n) if spec.mask >> p & 1)
-    return AnfTable(n, coeffs).to_truthtable()
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ import pytest
 
 from boolfn import (
     BINOMIAL_MAX,
-    SpectrumSweep,
     VERIFY_MAX_K,
+    SpectrumSweep,
     TruthTable,
     binomial,
     first_quarter,
@@ -30,26 +30,14 @@ from boolfn import (
     walsh_transform,
 )
 
+from conftest import count_transforms
+
 MAJ5 = "00000001000101110001011101111111"
 
 
 def weight_at_least(m: int, t: int) -> int:
     """Weight of threshold(m, t), counted: the points of weight >= t on m variables."""
     return sum(math.comb(m, j) for j in range(t, m + 1))
-
-
-def count_transforms(monkeypatch) -> list[int]:
-    """The variable counts of the tables majority.py transforms from now on, in order."""
-    module = importlib.import_module("boolfn.majority")
-    calls = []
-    transform = module.walsh_transform
-
-    def counted(t, *args, **kwargs):
-        calls.append(t.n)
-        return transform(t, *args, **kwargs)
-
-    monkeypatch.setattr(module, "walsh_transform", counted)
-    return calls
 
 
 class TestConstruction:
@@ -232,22 +220,16 @@ class TestReports:
             return TruthTable(k, 0) if k == 8 else build(k)
 
         monkeypatch.setattr(module, "majority", corrupted)
+        calls = count_transforms(monkeypatch)
         outcome = {r.name: r.passed for r in majority_report(9).identities}
         assert not outcome["odd_from_even_decomposition"]
         assert not outcome["left_half_weight_equals_nonlinearity"]
+        assert calls == [8, 8, 8]  # both halves, then the decomposition's fallback walsh_transform(prev)
 
     def test_one_transform_per_report(self, monkeypatch):
         # one transform of each half: N(m) comes from the halves' spectra,
         # and from k = 5 on the half that is majority(k - 1) is carried
-        module = importlib.import_module("boolfn.majority")
-        calls = []
-        transform = module.walsh_transform
-
-        def counted(t, *args, **kwargs):
-            calls.append(t.n)
-            return transform(t, *args, **kwargs)
-
-        monkeypatch.setattr(module, "walsh_transform", counted)
+        calls = count_transforms(monkeypatch)
         reports = verify_identities(12)
         assert all(rep.all_passed() for rep in reports)
         assert calls == [3, 3] + [k - 1 for k in range(5, 13)]
@@ -297,17 +279,18 @@ class TestSweepCarry:
         assert majority_report(k, sweep).to_dict() == majority_report(k).to_dict()
         assert sweep.table == majority(k)
 
-    @pytest.mark.parametrize("k", [8, 9])
-    def test_a_carried_table_that_differs_falls_back_to_fresh_transforms(self, monkeypatch, k):
+    def test_a_carried_table_that_differs_falls_back_to_fresh_transforms(self, monkeypatch):
         # whatever the buffer holds, a carried table unequal to majority(k - 1) is not read
-        expected = majority_report(k).to_dict()
-        sweep = SpectrumSweep(k)
-        majority_report(k - 1, sweep)
-        sweep.table = sweep.table.complement()
-        sweep.values[:] = 0
         calls = count_transforms(monkeypatch)
-        assert majority_report(k, sweep).to_dict() == expected
-        assert calls == [k - 1, k - 1]
+        for k in (8, 9):
+            expected = majority_report(k).to_dict()
+            sweep = SpectrumSweep(k)
+            majority_report(k - 1, sweep)
+            sweep.table = sweep.table.complement()
+            sweep.values[:] = 0
+            calls.clear()
+            assert majority_report(k, sweep).to_dict() == expected, k
+            assert calls == [k - 1, k - 1], k
 
     def test_the_buffer_must_hold_the_report(self):
         with pytest.raises(ValueError, match="sweep buffer holds 256 points"):

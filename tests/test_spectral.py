@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from boolfn import (
     AffineSpec,
+    SpectrumSweep,
     TruthTable,
     WalshSpectrum,
     affine_table,
@@ -20,7 +21,6 @@ from boolfn import (
     concat,
     concat_nonlinearity,
     from_bitstring,
-    join_spectra,
     max_vars,
     nonlinearity,
     random_table,
@@ -28,7 +28,7 @@ from boolfn import (
 )
 from boolfn.truthtable import _DEFAULT_MAX_VARS
 
-from conftest import truth_tables
+from conftest import count_transforms, truth_tables
 
 
 def naive_spectrum(t: TruthTable) -> np.ndarray:
@@ -252,41 +252,27 @@ class TestConcatNonlinearity:
             concat_nonlinearity(*halves)
 
 
-class TestJoinSpectra:
-    @given(st.integers(0, 9), st.data())
-    @settings(max_examples=60)
-    def test_equals_the_spectrum_of_the_concatenation(self, n, data):
-        a, b = (data.draw(truth_tables(min_n=n, max_n=n)) for _ in range(2))
-        expected = walsh_transform(concat(a, b)).values
-        halves = np.concatenate([walsh_transform(a).values, walsh_transform(b).values])
-        out = np.empty_like(halves)
-        written = join_spectra(halves, out=out)
-        assert np.array_equal(written.values, expected) and np.shares_memory(written.values, out)
-        joined = join_spectra(halves)  # in place, after the out-of-place pass left halves as they were
-        assert joined.n == n + 1 and np.array_equal(joined.values, expected)
-        assert np.shares_memory(joined.values, halves)
-        with pytest.raises(ValueError):
-            joined.values[0] = 0
-
-    @pytest.mark.parametrize("size,dtype", [(1, np.int32), (6, np.int32), (8, np.int64)])
-    def test_bad_halves_are_refused(self, size, dtype):
-        with pytest.raises(ValueError, match="halves must be"):
-            join_spectra(np.zeros(size, dtype=dtype))
-
-    def test_bad_out_is_refused(self):
-        with pytest.raises(ValueError, match="out must be"):
-            join_spectra(np.zeros(8, dtype=np.int32), out=np.zeros(4, dtype=np.int32))
-
-    def test_read_only_halves_are_not_joined_in_place(self):
-        halves = walsh_transform(TruthTable(3, 0b10010110)).values
-        with pytest.raises(ValueError, match="halves must be a writable C-contiguous int32 array of 8 entries"):
-            join_spectra(halves)
-        assert join_spectra(halves, out=np.empty(8, dtype=np.int32)).n == 3
-
-    def test_join_must_fit_the_cap(self, monkeypatch):
-        monkeypatch.setenv("BOOLFN_MAX_N", "3")
-        with pytest.raises(ValueError, match="variable count 4 outside 0..3"):
-            join_spectra(np.zeros(16, dtype=np.int32))
+class TestSpectrumSweep:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_a_half_equal_to_the_carried_table_is_joined(self, monkeypatch, n):
+        # after t, concat(t, u) and concat(u, t) transform only u; concat(u, u)
+        # transforms both halves, and concat(t, t) neither
+        rng = np.random.default_rng(n)
+        t = u = random_table(n, rng)
+        while u == t:
+            u = random_table(n, rng)
+        fresh = {t: walsh_transform(t).values, u: walsh_transform(u).values}
+        calls = count_transforms(monkeypatch)
+        for halves in [(t, u), (u, t), (u, u), (t, t)]:
+            sweep = SpectrumSweep(n + 1)
+            sweep.half_spectra(t, *t.halves())
+            calls.clear()
+            table = concat(*halves)
+            spectra = sweep.half_spectra(table, *halves)
+            assert all(np.array_equal(s.values, fresh[h]) for s, h in zip(spectra, halves)), halves
+            assert not any(s.values.flags.writeable for s in spectra)
+            assert calls == [n] * sum(h != t for h in halves), halves
+            assert sweep.table == table
 
 
 class TestNonlinearity:
