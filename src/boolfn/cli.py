@@ -24,6 +24,8 @@ from .spectral import WalshSpectrum, check_weight_equals_nonlinearity, walsh_tra
 from .truthtable import TruthTable, check_same_vars, from_bitstring, from_hex, random_table
 
 _RUNLENGTH_MAX_K = 9
+# integers written per joined string, so no string of every entry is held
+_WRITE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,25 +88,46 @@ def _parse_table(text: str, fmt: str, expect_n: int | None) -> TruthTable:
     return t
 
 
+def _write_joined(values: np.ndarray, sep: str) -> None:
+    """Write the integers in values to stdout joined by sep, one chunk at a
+    time; a list's repr joins its integers by ", " without a str per entry."""
+    for start in range(0, values.size, _WRITE_CHUNK):
+        if start:
+            sys.stdout.write(sep)
+        sys.stdout.write(repr(values[start : start + _WRITE_CHUNK].tolist())[1:-1].replace(", ", sep))
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     t = _parse_table(args.tt, args.format, args.n)
     with _table_memory(t.n):
         spectrum = walsh_transform(t)
         payload = analyze_table(t, spectrum).to_dict()
-        if args.spectrum:
-            payload["walsh_spectrum"] = spectrum.values.tolist()
         if args.text:
             for key, value in payload.items():
                 print(f"{key}:", value)  # print writes value as it is, with no joined copy
+            if args.spectrum:
+                sys.stdout.write("walsh_spectrum: [")
+                _write_joined(spectrum.values, ", ")
+                sys.stdout.write("]\n")
         else:
             # json's escape scan of the ANF costs more than the rest of the
-            # dump; its alphabet, [0-9x +], needs no escape, so it is written
-            # between the dumped text's pieces as it is, with no joined copy
+            # dump, and its encoder writes a list one entry at a time; the
+            # ANF's alphabet, [0-9x +], needs no escape and the spectrum is
+            # plain integers, so both are written between the dumped text's
+            # pieces as they are, with no joined copy
             anf, payload["anf"] = payload["anf"], ""
+            if args.spectrum:
+                payload["walsh_spectrum"] = []
             text = json.dumps(payload, indent=2)
             at = text.index('"anf": "') + len('"anf": "')
             sys.stdout.write(text[:at])
             sys.stdout.write(anf)
+            if args.spectrum:
+                end = text.index('"walsh_spectrum": [', at) + len('"walsh_spectrum": [')
+                sys.stdout.write(text[at:end] + "\n    ")
+                _write_joined(spectrum.values, ",\n    ")
+                sys.stdout.write("\n  ")
+                at = end
             sys.stdout.write(text[at:] + "\n")
     return 0
 

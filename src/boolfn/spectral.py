@@ -35,7 +35,12 @@ group's index on ties, so no full-size |W| copy is made.  max|W| is that
 walk over one spectrum, and the nonlinearity of a concatenation is that
 walk over the spectra of its two halves, whose sum and difference are
 its own spectrum.  An independent brute-force path measures the minimum
-distance over all affine tables directly.
+distance over all affine tables directly, with XOR, popcount and sums, in
+two levels: it popcounts each block of 64 * 2**r points against every
+linear table on the low 6 + r index bits, then walks the masks of the
+block-index bits in Gray-code order, where a block the mask complements
+counts its points less its popcount, 64 * 2**r - c.  Every distance is
+still a count over all 2**n points, and nothing of the butterfly is used.
 """
 
 from __future__ import annotations
@@ -59,11 +64,11 @@ def _byte_spectra(points: int) -> np.ndarray:
 
 
 def _word_patterns(points: int) -> np.ndarray:
-    """Row x: the linear table with in-word mask x as one 64-bit word, cut to
-    its lowest `points` bits; bit i is parity(x & i)."""
+    """Entry x: the linear table with in-word mask x as one 64-bit word, cut
+    to its lowest `points` bits; bit i is parity(x & i)."""
     bit = np.arange(points, dtype=np.uint64)
     parity = np.bitwise_count(np.arange(64, dtype=np.uint64)[:, None] & bit) & 1
-    return np.bitwise_or.reduce(parity << bit, axis=1)[:, None]
+    return np.bitwise_or.reduce(parity << bit, axis=1)
 
 
 # Indexed by min(n, 3): a table under one byte holds 1, 2 or 4 points, a
@@ -273,22 +278,38 @@ def nonlinearity(t: TruthTable) -> int:
 def brute_force_nonlinearity(t: TruthTable) -> int:
     """Minimum distance over all 2**(n+1) affine tables, measured directly.
 
-    Reads the table as 64-bit words and walks the masks of the word-index
-    variables in Gray-code order, so each step is one XOR over the words;
-    one popcount per word then gives the distances to all 64 in-word masks
-    at once, and their complements.
+    Reads the table as 64-bit words in blocks of 2**r words, r half the
+    word-index bits rounded down.  Level 1: for each mask v of the in-block
+    word variables, the words at in-block index i with parity(v & i) = 1 are
+    complemented, and one popcount per word against the 64 in-word masks,
+    summed within each block, gives every block's distance to every linear
+    table on the low 6 + r bits.  Level 2 walks the masks of the block-index
+    variables in Gray-code order, so each step complements the distances of
+    the blocks whose index has the changed variable set, 64 * 2**r - c; one
+    sum over the blocks is then the distance to each linear table, and the
+    table size less it the distance to its complement.  The counts are
+    int32, exact: none exceeds 2**n <= 2**16.
     """
     if not 1 <= t.n <= _BRUTE_FORCE_MAX_VARS:
         raise ValueError(f"brute force supports 1..{_BRUTE_FORCE_MAX_VARS} variables, got {t.n}")
     size = t.size
-    words = np.frombuffer(bytearray(pack_bits(t.bits, max(size, 64))), dtype="<u8")
+    words = np.frombuffer(pack_bits(t.bits, max(size, 64)), dtype="<u8")
+    width = 1 << (words.size.bit_length() - 1) // 2  # words per block
+    blocks = words.reshape(-1, width)
+    index = np.arange(width)
+    # row v: all ones at the in-block indices i with parity(v & i) = 1
+    flips = np.where(np.bitwise_count(index[:, None] & index) & 1, ~np.uint64(0), np.uint64(0))
     patterns = _WORD_PATTERNS[min(t.n, 6)]
+    counts = np.empty((blocks.shape[0], width, 64), dtype=np.int32)
+    for v in range(width):
+        np.sum(np.bitwise_count((blocks ^ flips[v])[:, :, None] ^ patterns), axis=1, dtype=np.int32, out=counts[:, v])
+    counts = counts.reshape(blocks.shape[0], -1)
     best = size
-    for gray in range(words.size):
-        if gray:  # complement the words whose index has the changed variable set
-            flipped = words.reshape(-1, 2, gray & -gray)[:, 1]
-            np.invert(flipped, out=flipped)
-        d = np.bitwise_count(words ^ patterns).sum(axis=1)
+    for gray in range(counts.shape[0]):
+        if gray:  # complement the blocks whose index has the changed variable set
+            flipped = counts.reshape(-1, 2, gray & -gray, counts.shape[1])[:, 1]
+            np.subtract(64 * width, flipped, out=flipped)
+        d = counts.sum(axis=0)
         best = min(best, int(d.min()), size - int(d.max()))
     return best
 

@@ -138,6 +138,18 @@ class TestAnalyze:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
         assert json.loads(out)["anf"] == analyze_table(t).anf
 
+    # the spectrum is written a chunk at a time; every n above holds one chunk
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 16])
+    def test_spectrum_written_in_chunks(self, capsys, monkeypatch, chunk):
+        monkeypatch.setattr(importlib.import_module("boolfn.cli"), "_WRITE_CHUNK", chunk)
+        t = random_table(4, np.random.default_rng(4))
+        values = walsh_transform(t).values.tolist()
+        _, out, _ = run(capsys, "analyze", "--tt", t.to_hex(), "--spectrum")
+        assert out == json.dumps({**analyze_table(t).to_dict(), "walsh_spectrum": values}, indent=2) + "\n"
+        _, plain, _ = run(capsys, "analyze", "--tt", t.to_hex(), "--text")
+        _, out, _ = run(capsys, "analyze", "--tt", t.to_hex(), "--text", "--spectrum")
+        assert out == plain + f"walsh_spectrum: {values}\n"
+
     def test_consistency_invariant(self, capsys):
         _, out, _ = run(capsys, "analyze", "--tt", MAJ5)
         report = json.loads(out)

@@ -318,6 +318,54 @@ class TestNonlinearity:
             assert brute_force_nonlinearity(shifted) == nonlinearity(t)
 
 
+def near_affine(n: int, mask: int, rng: np.random.Generator) -> tuple[TruthTable, int]:
+    """An affine table with the given mask, at most 2**(n-2) of its points
+    flipped, and the flip count, which is then its nonlinearity: every other
+    affine table differs from the unflipped one in 2**(n-1) points, so it is
+    at least 2**(n-1) - flips >= flips from the flipped one."""
+    size = 1 << n
+    points = rng.choice(size, size=int(rng.integers(0, size // 4 + 1)), replace=False)
+    error = TruthTable(n, sum(1 << int(p) for p in points))
+    return affine_table(AffineSpec(mask, int(rng.integers(2))), n) ^ error, len(points)
+
+
+# The oracle reads 2**(n-6) words in blocks of 2**r, r = (n - 6) // 2: every
+# n <= 6 is one word, and r steps up at n = 8, 10, 12, 14 and 16, the cap.
+ORACLE_VARS = range(1, 17)
+
+
+class TestBruteForceOracle:
+    @pytest.mark.parametrize("n", ORACLE_VARS)
+    def test_random_tables(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            t = random_table(n, rng)
+            assert brute_force_nonlinearity(t) == walsh_transform(t).nonlinearity()
+
+    # the full mask sets every in-word, in-block and block-index variable
+    @pytest.mark.parametrize("n", ORACLE_VARS)
+    def test_near_affine_tables(self, n):
+        rng = np.random.default_rng(100 + n)
+        for mask in ((1 << n) - 1, int(rng.integers(1 << n))):
+            t, flips = near_affine(n, mask, rng)
+            assert brute_force_nonlinearity(t) == flips == walsh_transform(t).nonlinearity()
+
+    def test_never_calls_the_walsh_kernel(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        tables = [random_table(n, rng) for n in ORACLE_VARS]
+        expected = [walsh_transform(t).nonlinearity() for t in tables]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the Walsh kernel")
+
+        spectral = importlib.import_module("boolfn.spectral")
+        monkeypatch.setattr(spectral, "_butterfly", refuse)
+        monkeypatch.setattr(spectral, "walsh_transform", refuse)
+        with pytest.raises(AssertionError):  # the patch is live
+            nonlinearity(tables[0])
+        assert [brute_force_nonlinearity(t) for t in tables] == expected
+
+
 class TestAffineTables:
     def test_known_tables(self):
         # x2 on two variables ticks fastest: 0101
