@@ -8,7 +8,7 @@ family ships with closed-form predictions plus an identity checker.
 
 from __future__ import annotations
 
-from .anf import AffineSpec, AnfTable, affine_table, degree, is_affine, to_anf
+from .anf import AffineSpec, AnfTable, affine_table, to_anf
 from .majority import (
     BINOMIAL_MAX,
     VERIFY_MAX_K,
@@ -40,13 +40,11 @@ from .spectral import (
     walsh_transform,
 )
 from .truthtable import (
-    PointVector,
     TruthTable,
     concat,
     from_bitstring,
     from_hex,
     max_vars,
-    point_weight,
     random_table,
 )
 
@@ -56,7 +54,6 @@ __all__ = [
     "BINOMIAL_MAX",
     "IdentityResult",
     "MajorityReport",
-    "PointVector",
     "SpectrumSweep",
     "TruthTable",
     "VERIFY_MAX_K",
@@ -68,18 +65,15 @@ __all__ = [
     "check_weight_equals_nonlinearity",
     "concat",
     "concat_nonlinearity",
-    "degree",
     "first_quarter",
     "from_bitstring",
     "from_hex",
-    "is_affine",
     "iter_reports",
     "left_half",
     "majority",
     "majority_report",
     "max_vars",
     "nonlinearity",
-    "point_weight",
     "predicted_left_half_weight",
     "predicted_nonlinearity",
     "predicted_quarter_half_weights",

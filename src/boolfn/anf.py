@@ -68,10 +68,6 @@ class AnfTable:
     def __post_init__(self) -> None:
         check_table(self.n, self.coeffs)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.coeffs in (0, 1)
-
     def to_truthtable(self) -> TruthTable:
         """The table of the function: the Moebius transform of the coefficients."""
         return TruthTable(self.n, _mobius(self.coeffs, self.n))
@@ -88,7 +84,7 @@ class AnfTable:
         return self._terms[0].tolist()
 
     def degree(self) -> int:
-        """Largest monomial size; 0 for the constants (see is_constant)."""
+        """Largest monomial size; 0 for the constants."""
         sizes = self._terms[1]
         return int(sizes.max()) if sizes.size else 0
 
@@ -151,16 +147,7 @@ def affine_table(spec: AffineSpec, n: int) -> TruthTable:
     return AnfTable(n, coeffs).to_truthtable()
 
 
-
-
 def to_anf(t: TruthTable) -> AnfTable:
     """The ANF coefficients of t: the Moebius transform of its table."""
     return AnfTable(t.n, _mobius(t.bits, t.n))
 
-
-def degree(t: TruthTable) -> int:
-    return to_anf(t).degree()
-
-
-def is_affine(t: TruthTable) -> bool:
-    return degree(t) <= 1

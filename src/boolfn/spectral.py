@@ -103,9 +103,9 @@ def _butterfly(block: np.ndarray, h: int) -> None:
         h <<= 1
 
 
-def _column_passes(grid: np.ndarray, buffer: np.ndarray, h: int) -> None:
-    """Butterfly passes down the columns of a 2-D view, on row strides h, 2h,
-    ... below its row count, in place.
+def _column_passes(grid: np.ndarray, buffer: np.ndarray) -> None:
+    """Butterfly passes down the columns of a 2-D view, on every row stride
+    1, 2, ... below its row count, in place.
 
     Each strip of columns, as many as fill the contiguous buffer, is copied
     into it, transformed there and written back."""
@@ -114,7 +114,7 @@ def _column_passes(grid: np.ndarray, buffer: np.ndarray, h: int) -> None:
     for start in range(0, grid.shape[1], width):
         block = grid[:, start : start + width]
         np.copyto(strip, block)
-        _butterfly(buffer, h * width)
+        _butterfly(buffer, width)
         np.copyto(block, strip)
 
 
@@ -206,7 +206,7 @@ def walsh_transform(t: TruthTable, out: np.ndarray | None = None) -> WalshSpectr
             np.copyto(group, narrow)
             _butterfly(group, narrow_points)
         if t.size > group_points:  # the passes above the group
-            _column_passes(out.reshape(-1, group_points), buffer, 1)
+            _column_passes(out.reshape(-1, group_points), buffer)
     return _read_only(t.n, out)
 
 

@@ -84,35 +84,6 @@ def unpack_bits(bits: int, size: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PointVector:
-    """One input point (x_1, ..., x_n) of the function domain."""
-
-    n: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(self.coords)}")
-        if any(c not in (0, 1) for c in self.coords):
-            raise ValueError("coordinates must be 0 or 1")
-
-    @classmethod
-    def from_index(cls, i: int, n: int) -> PointVector:
-        if not 0 <= i < (1 << n):
-            raise ValueError(f"index {i} outside 0..{(1 << n) - 1}")
-        return cls(n, tuple((i >> (n - 1 - j)) & 1 for j in range(n)))
-
-    def index(self) -> int:
-        out = 0
-        for c in self.coords:
-            out = out << 1 | c
-        return out
-
-    def weight(self) -> int:
-        return sum(self.coords)
-
-
-@dataclass(frozen=True)
 class TruthTable:
     """Boolean function given by its packed 2**n-entry truth table."""
 
@@ -130,12 +101,6 @@ class TruthTable:
         if not 0 <= i < self.size:
             raise ValueError(f"table index {i} outside 0..{self.size - 1}")
         return (self.bits >> i) & 1
-
-    def evaluate(self, point: PointVector) -> int:
-        """Value at an input point; bit point.index() of the table."""
-        if point.n != self.n:
-            raise ValueError(f"point has {point.n} coordinates, table has {self.n}")
-        return (self.bits >> point.index()) & 1
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -225,13 +190,6 @@ def concat(left: TruthTable, right: TruthTable) -> TruthTable:
     """Join two tables on n variables into one on n + 1; left comes first."""
     check_same_vars(left.n, right.n)
     return TruthTable(left.n + 1, left.bits | right.bits << left.size)
-
-
-def point_weight(i: int, n: int) -> int:
-    """Weight of the i-th input vector; the popcount of i."""
-    if not 0 <= i < (1 << n):
-        raise ValueError(f"index {i} outside 0..{(1 << n) - 1}")
-    return i.bit_count()
 
 
 def random_table(n: int, rng: np.random.Generator) -> TruthTable:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolfn import AnfTable, TruthTable, degree, from_bitstring, is_affine, random_table, to_anf
+from boolfn import AnfTable, TruthTable, from_bitstring, random_table, to_anf
 from boolfn.anf import _name_tables
 
 from conftest import truth_tables
@@ -97,7 +97,7 @@ class TestDegree:
     def test_constants(self):
         assert to_anf(TruthTable(2, 0)).degree() == 0
         ones = to_anf(from_bitstring("1111"))
-        assert ones.degree() == 0 and ones.is_constant
+        assert ones.degree() == 0 and ones.monomials() == [0]
 
     def test_exhaustive_small(self):
         # degree from the coefficient definition, all 3-variable functions
@@ -110,7 +110,7 @@ class TestDegree:
     def test_affine_census(self):
         # exactly 2**(n+1) affine functions on n variables
         for n in (1, 2, 3):
-            count = sum(is_affine(TruthTable(n, bits)) for bits in range(1 << (1 << n)))
+            count = sum(to_anf(TruthTable(n, bits)).degree() <= 1 for bits in range(1 << (1 << n)))
             assert count == 1 << (n + 1)
 
     def test_wide_table_path(self):
@@ -118,7 +118,7 @@ class TestDegree:
         n = 14
         monomial = (1 << n) - 2  # product of all variables but the fastest
         t = AnfTable(n, (1 << monomial) | 1).to_truthtable()
-        assert degree(t) == n - 1
+        assert to_anf(t).degree() == n - 1
         assert to_anf(t).monomials() == [0, monomial]
 
     @given(truth_tables(min_n=1, max_n=6))
@@ -225,9 +225,3 @@ class TestRenderRuns:
         coeffs = 1 << top | 1 << (top - 1) | 1 << (top >> 1) | 1 << 3
         self.check(AnfTable(n, coeffs))
         self.check(AnfTable(n, coeffs | 1))
-
-
-class TestAffinePredicate:
-    @given(truth_tables(min_n=1, max_n=4))
-    def test_matches_degree(self, t):
-        assert is_affine(t) == (to_anf(t).degree() <= 1)

@@ -10,44 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolfn import (
-    PointVector,
     TruthTable,
     concat,
     from_bitstring,
     from_hex,
     max_vars,
-    point_weight,
     random_table,
 )
 
 from conftest import truth_tables
-
-
-class TestPointVector:
-    def test_lexicographic_order(self):
-        # v_0 is all zeros, v_1 flips only the last coordinate
-        assert PointVector.from_index(0, 3).coords == (0, 0, 0)
-        assert PointVector.from_index(1, 3).coords == (0, 0, 1)
-        assert PointVector.from_index(4, 3).coords == (1, 0, 0)
-        assert PointVector.from_index(7, 3).coords == (1, 1, 1)
-
-    @given(st.integers(0, 255))
-    def test_index_round_trip(self, i):
-        assert PointVector.from_index(i, 8).index() == i
-
-    def test_weight(self):
-        assert PointVector.from_index(0b1011, 4).weight() == 3
-        assert point_weight(0b1011, 4) == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PointVector(2, (0, 1, 0))
-        with pytest.raises(ValueError):
-            PointVector(2, (0, 2))
-        with pytest.raises(ValueError):
-            PointVector.from_index(8, 3)
-        with pytest.raises(ValueError):
-            point_weight(-1, 3)
 
 
 class TestConstruction:
@@ -73,13 +44,13 @@ class TestConstruction:
             max_vars()
 
     def test_bit_matches_evaluate(self):
-        t = from_bitstring("00010110")
+        # bit i is the value at v_i, the bitstring's i-th character
+        text = "00010110"
+        t = from_bitstring(text)
         for i in range(8):
-            assert t.bit(i) == t.evaluate(PointVector.from_index(i, 3))
+            assert t.bit(i) == int(text[i])
         with pytest.raises(ValueError):
             t.bit(8)
-        with pytest.raises(ValueError):
-            t.evaluate(PointVector.from_index(0, 2))
 
 
 class TestMeasures:
