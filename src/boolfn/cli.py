@@ -3,13 +3,14 @@ run the identity verification sweep, and benchmark the transform.
 
 stdout carries data (JSON by default), stderr carries diagnostics.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-or out of memory.
+or out of memory, 141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -237,11 +238,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
     except (ValueError, MemoryError) as exc:
         # a bare MemoryError carries no text
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes nowhere, with no
+        # "Exception ignored" from the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -7,8 +7,12 @@ glued in front of that same table, the right half mirrors the left
 half, and both the weights of the pieces and the nonlinearity have
 exact binomial closed forms.  verify_identities() rebuilds every table
 and checks each identity bit-exactly or integer-exactly against measured
-values.  A report measures majority(k) through the spectra of its two
-halves, which a SpectrumSweep writes into its buffer.  One of them is
+values.  A report states each identity once, as a row (name, observed,
+expected): observed is a non-empty tuple of measured values, and the row
+passes iff every one of them equals expected.
+
+A report measures majority(k) through the spectra of its two halves,
+which a SpectrumSweep writes into its buffer.  One of them is
 majority(k - 1), the right half for odd k and the left half for even k,
 so when iter_reports passes the same sweep from report to report, that
 half is found equal to the table the sweep carries and its spectrum is
@@ -187,6 +191,12 @@ class MajorityReport:
         }
 
 
+def _oracle(t: TruthTable) -> tuple[int, ...]:
+    """N(t) by the brute-force oracle, for t on at most _BRUTE_FORCE_MAX_K
+    variables; nothing for a larger t."""
+    return (brute_force_nonlinearity(t),) if t.n <= _BRUTE_FORCE_MAX_K else ()
+
+
 def majority_report(k: int, sweep: SpectrumSweep | None = None) -> MajorityReport:
     """Construct majority(k), measure it, and check every applicable identity.
 
@@ -204,60 +214,43 @@ def majority_report(k: int, sweep: SpectrumSweep | None = None) -> MajorityRepor
     measured = concat_nonlinearity(w_a, w_b)
     predicted = predicted_nonlinearity(k)
 
-    checks: list[IdentityResult] = []
-
-    def add(name: str, ok: bool) -> None:
-        checks.append(IdentityResult(name, bool(ok)))
-
-    closed_form_ok = measured == predicted
-    oracle = "spectrum"
-    if k <= _BRUTE_FORCE_MAX_K:
-        oracle = "both"
-        closed_form_ok = closed_form_ok and brute_force_nonlinearity(m) == predicted
-    add("nonlinearity_closed_form", closed_form_ok)
-
+    n = k // 2  # k is 2n or 2n + 1
+    # each identity is one row: its name, the values measured, and the one
+    # value every measured value must equal
+    rows = [("nonlinearity_closed_form", (measured, *_oracle(m)), predicted)]
     if k % 2:
-        n = (k - 1) // 2
         prev = majority(k - 1)
-        decomposed = m == concat(prev.complement().reverse(), prev)
-        add("odd_from_even_decomposition", decomposed)
-        add("right_half_is_reversed_complement", b == a.complement().reverse())
-        add("odd_majority_balanced", weight == 1 << (2 * n))
-        add("left_half_weight_formula", a.weight() == predicted_left_half_weight(n))
-
-        nl_left = w_a.nonlinearity()
-        add("mirror_extension_doubles_nonlinearity", measured == 2 * nl_left)
-
+        joined = concat(prev.complement().reverse(), prev)
         # the decomposition proves b == prev; only then is b's spectrum prev's
-        nl_prev = (w_b if decomposed else walsh_transform(prev)).nonlinearity()
-        add(
-            "left_half_weight_equals_nonlinearity",
-            nl_left == nl_prev and nl_left == a.weight(),
-        )
-
+        nl_prev = (w_b if m == joined else walsh_transform(prev)).nonlinearity()
+        nl_left = w_a.nonlinearity()
+        rows += [
+            ("odd_from_even_decomposition", (m,), joined),
+            ("right_half_is_reversed_complement", (b,), a.complement().reverse()),
+            ("odd_majority_balanced", (weight,), 1 << (2 * n)),
+            ("left_half_weight_formula", (a.weight(),), predicted_left_half_weight(n)),
+            ("mirror_extension_doubles_nonlinearity", (measured,), 2 * nl_left),
+            ("left_half_weight_equals_nonlinearity", (nl_left, nl_prev), a.weight()),
+        ]
         if k >= 7:
             q1 = a.halves()[0]  # first_quarter(k), without building majority(k) again
-            prev_right = prev.halves()[1]
-            add("first_quarter_is_reversed_complement", q1 == prev_right.complement().reverse())
             q1a, q1b = q1.halves()
-            wl, wr = predicted_quarter_half_weights(n)
-            add("quarter_half_weight_formulas", q1a.weight() == wl and q1b.weight() == wr)
-    else:
-        n = k // 2
-        if n >= 3:
-            mirrored = b.complement().reverse()
-            add("mirrored_right_half_weight_bound", mirrored.weight() < (1 << (2 * n - 2)))
+            rows += [
+                ("first_quarter_is_reversed_complement", (q1,), prev.halves()[1].complement().reverse()),
+                ("quarter_half_weight_formulas", ((q1a.weight(), q1b.weight()),), predicted_quarter_half_weights(n)),
+            ]
+    elif k >= 6:
+        mirrored = b.complement().reverse()
+        first, second = _right_half_nonlinearity_forms(n)
+        rows += [
+            ("mirrored_right_half_weight_bound", (mirrored.weight() < 1 << (2 * n - 2),), True),
+            ("right_half_closed_forms_agree", (second,), first),
+            ("right_half_nonlinearity_formula", (w_b.nonlinearity(), mirrored.weight(), *_oracle(b)), first),
+        ]
 
-            first, second = _right_half_nonlinearity_forms(n)
-            add("right_half_closed_forms_agree", first == second)
-
-            nl_right = w_b.nonlinearity()
-            right_ok = nl_right == first and mirrored.weight() == first
-            if k - 1 <= _BRUTE_FORCE_MAX_K:
-                right_ok = right_ok and brute_force_nonlinearity(b) == first
-            add("right_half_nonlinearity_formula", right_ok)
-
-    return MajorityReport(k, weight, measured, predicted, tuple(checks), oracle)
+    identities = tuple(IdentityResult(name, all(v == expected for v in observed)) for name, observed, expected in rows)
+    oracle = "both" if k <= _BRUTE_FORCE_MAX_K else "spectrum"
+    return MajorityReport(k, weight, measured, predicted, identities, oracle)
 
 
 def iter_reports(k_max: int) -> Iterator[MajorityReport]:

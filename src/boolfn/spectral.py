@@ -236,9 +236,14 @@ class SpectrumSweep:
         The carried pair fills slot 0, so a half equal to the carried table
         gets its spectrum by the transform's last pass over that pair, in
         place for slot 0 or into slot 1; a half that is not is transformed
-        afresh.  The join is exact in int32: |W_a| + |W_b| <= 2**(k_max-1)."""
+        afresh.  The join is exact in int32: |W_a| + |W_b| <= 2**(k_max-1).
+        Tables a and b that are not t's halves are a ValueError, raised
+        before the buffer or the carried table changes."""
         if t.size > self.values.size:
             raise ValueError(f"sweep buffer holds {self.values.size} points, a table on {t.n} variables needs {t.size}")
+        # compared as packed bits: the caller has split t already
+        if not a.n == b.n == t.n - 1 or a.bits | b.bits << a.size != t.bits:
+            raise ValueError(f"the tables given are not the two halves of a table on {t.n} variables")
         slots = self.values[: t.size].reshape(2, -1)
         carried, self.table = self.table, None  # the slots are about to change
         halves, spectra = (a, b), [None, None]

@@ -6,6 +6,10 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -306,3 +310,31 @@ class TestOutOfMemory:
         code, out, err = run(capsys, "verify", "--max-k", "4")
         assert code == 2 and out == ""
         assert err == "error: out of memory\n"
+
+
+class TestClosedPipe:
+    # analyze writes ~160 KB, more than a pipe holds, so it is still writing
+    # when the read end closes; verify writes each report line as it is made,
+    # and the reports after k = 4 take far longer than reading the first line
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--tt", "0x" + np.random.default_rng(14).bytes(2048).hex(), "--n", "14"],
+            ["verify", "--max-k", "24"],
+        ],
+        ids=["analyze", "verify"],
+    )
+    def test_a_reader_that_closes_early_ends_it_quietly_with_141(self, argv):
+        package_root = pathlib.Path(importlib.import_module("boolfn.cli").__file__).parents[1]
+        path = os.pathsep.join(filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "boolfn.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+        assert first and err == b""

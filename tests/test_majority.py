@@ -182,6 +182,45 @@ class TestClosedForms:
             predicted_quarter_half_weights(2)
 
 
+def _plus_one(form):
+    """form with one added to its value, or to the last of its values."""
+
+    def wrong(n):
+        value = form(n)
+        return (*value[:-1], value[-1] + 1) if isinstance(value, tuple) else value + 1
+
+    return wrong
+
+
+def _every_table(change):
+    """A majority builder whose every table, majority(k - 1) as well, is changed by change."""
+    return lambda build: lambda k: change(build(k))
+
+
+_BIT_ZERO_FLIPPED = _every_table(lambda t: TruthTable(t.n, t.bits ^ 1))
+_COMPLEMENTED = _every_table(TruthTable.complement)
+
+# For each identity, one wrong input to the majority module that must make
+# it fail in every report that checks it: a closed form, or the majority
+# builder.  A flipped bit moves every distance to an affine table by one, so
+# N changes parity; the complement keeps N and the decomposition, but not
+# the weights.
+_BROKEN_INPUTS = {
+    "nonlinearity_closed_form": ("predicted_nonlinearity", _plus_one),
+    "odd_from_even_decomposition": ("majority", _BIT_ZERO_FLIPPED),
+    "right_half_is_reversed_complement": ("majority", _BIT_ZERO_FLIPPED),
+    "odd_majority_balanced": ("majority", _BIT_ZERO_FLIPPED),
+    "left_half_weight_formula": ("predicted_left_half_weight", _plus_one),
+    "mirror_extension_doubles_nonlinearity": ("majority", _BIT_ZERO_FLIPPED),
+    "left_half_weight_equals_nonlinearity": ("majority", _COMPLEMENTED),
+    "first_quarter_is_reversed_complement": ("majority", _BIT_ZERO_FLIPPED),
+    "quarter_half_weight_formulas": ("predicted_quarter_half_weights", _plus_one),
+    "mirrored_right_half_weight_bound": ("majority", _COMPLEMENTED),
+    "right_half_closed_forms_agree": ("_right_half_nonlinearity_forms", _plus_one),
+    "right_half_nonlinearity_formula": ("majority", _COMPLEMENTED),
+}
+
+
 class TestReports:
     def test_range_guard(self):
         with pytest.raises(ValueError):
@@ -209,6 +248,18 @@ class TestReports:
         names = {r.name for rep in reports for r in rep.identities}
         assert "odd_from_even_decomposition" in names
         assert "right_half_nonlinearity_formula" in names
+
+    def test_every_identity_is_checked_for_failure(self):
+        names = {r.name for rep in verify_identities(12) for r in rep.identities}
+        assert names == set(_BROKEN_INPUTS)
+
+    @pytest.mark.parametrize("name", _BROKEN_INPUTS)
+    def test_every_identity_can_fail(self, monkeypatch, name):
+        module = importlib.import_module("boolfn.majority")  # boolfn.majority is the function
+        attr, breaking = _BROKEN_INPUTS[name]
+        monkeypatch.setattr(module, attr, breaking(getattr(module, attr)))
+        outcomes = [r.passed for rep in verify_identities(12) for r in rep.identities if r.name == name]
+        assert outcomes and not any(outcomes)
 
     def test_previous_spectrum_is_reused_only_after_the_decomposition_holds(self, monkeypatch):
         module = importlib.import_module("boolfn.majority")  # boolfn.majority is the function
@@ -291,6 +342,21 @@ class TestSweepCarry:
             calls.clear()
             assert majority_report(k, sweep).to_dict() == expected, k
             assert calls == [k - 1, k - 1], k
+
+    @pytest.mark.parametrize("wrong", ["random", "swapped"])
+    def test_tables_that_are_not_the_halves_are_refused(self, rng, wrong):
+        # a refused call changes neither the carried table nor the buffer, so
+        # the next table's carried half still gets the carried spectrum
+        m4, m5 = majority(4), majority(5)
+        sweep = SpectrumSweep(5)
+        a, b = m4.halves()
+        sweep.half_spectra(m4, a, b)
+        x, y = (TruthTable(3, int(v)) for v in rng.integers(256, size=2)) if wrong == "random" else (b, a)
+        with pytest.raises(ValueError, match="not the two halves of a table on 4 variables"):
+            sweep.half_spectra(m4, x, y)
+        assert sweep.table == m4
+        carried = sweep.half_spectra(m5, *m5.halves())[1]
+        assert np.array_equal(carried.values, walsh_transform(m4).values)
 
     def test_the_buffer_must_hold_the_report(self):
         with pytest.raises(ValueError, match="sweep buffer holds 256 points"):
