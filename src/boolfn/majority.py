@@ -16,8 +16,13 @@ which a SpectrumSweep writes into its buffer.  One of them is
 majority(k - 1), the right half for odd k and the left half for even k,
 so when iter_reports passes the same sweep from report to report, that
 half is found equal to the table the sweep carries and its spectrum is
-joined from the previous report's; only the other half is transformed
-afresh.
+joined from the previous report's.  The other half, T(k - 1, k/2 - 1) for
+even k and T(k - 1, (k + 1)/2) for odd k, holds majority(k - 2), a half of
+the carried table, as its left or right half, so its spectrum is that
+kept quarter's joined to a transform of its other half: each report
+transforms one table on k - 2 variables.  The walk that takes N(majority(k))
+from the halves' spectra takes each half's own N as well, so the
+identities read no spectrum again.
 """
 
 from __future__ import annotations

@@ -26,21 +26,28 @@ A SpectrumSweep owns one such array for a run of tables, each a half of
 the next: it writes the spectra of a table's two halves side by side and
 keeps the table, and when a half of the next table equals it, the
 transform's last pass alone joins the kept pair into that half's
-spectrum, W(0||w) = W_a(w) + W_b(w) and W(1||w) = W_a(w) - W_b(w).
+spectrum, W(0||w) = W_a(w) + W_b(w) and W(1||w) = W_a(w) - W_b(w).  A
+half of the next table that is not the kept table, but has one of the
+kept table's halves as one of its own halves, takes that quarter's
+spectrum from where it is kept, transforms only its other half, and
+joins the two by the same pass one level down, at the quarter stride.
 Nonlinearity comes out of the spectrum as 2**(n-1) - max|W|/2.
-One grouped walk takes every peak: the largest sum of |W| over one or
-more spectra, read one group at a time into reused buffers of at most
-2**17 int32, with a running (peak, index) pair that keeps the first
-group's index on ties, so no full-size |W| copy is made.  max|W| is that
-walk over one spectrum, and the nonlinearity of a concatenation is that
-walk over the spectra of its two halves, whose sum and difference are
-its own spectrum.  An independent brute-force path measures the minimum
-distance over all affine tables directly, with XOR, popcount and sums, in
-two levels: it popcounts each block of 64 * 2**r points against every
-linear table on the low 6 + r index bits, then walks the masks of the
-block-index bits in Gray-code order, where a block the mask complements
-counts its points less its popcount, 64 * 2**r - c.  Every distance is
-still a count over all 2**n points, and nothing of the butterfly is used.
+One grouped walk takes every peak: the largest |W| of one spectrum, or
+for two spectra the largest |W| of each and of their sum, read one group
+at a time into reused buffers of at most 2**17 int32, with a running
+(peak, index) pair per walk that keeps the first group's index on ties,
+so no full-size |W| copy is made.  max|W| is that walk over one
+spectrum, and the nonlinearity of a concatenation is that walk over the
+spectra of its two halves, whose sum and difference are its own
+spectrum; the halves' own peaks come along and are cached in their
+spectra, so neither is walked again.  An independent brute-force path
+measures the minimum distance over all affine tables directly, with XOR,
+popcount and sums, in two levels: it popcounts each block of 64 * 2**r
+points against every linear table on the low 6 + r index bits, then
+walks the masks of the block-index bits in Gray-code order, where a block
+the mask complements counts its points less its popcount, 64 * 2**r - c.
+Every distance is still a count over all 2**n points, and nothing of the
+butterfly is used.
 """
 
 from __future__ import annotations
@@ -118,27 +125,28 @@ def _column_passes(grid: np.ndarray, buffer: np.ndarray) -> None:
         np.copyto(block, strip)
 
 
-def _grouped_peak(*parts: np.ndarray) -> tuple[int, int]:
-    """max over w of the sum of |part[w]|, and the smallest w attaining it.
+def _grouped_peaks(*parts: np.ndarray) -> list[tuple[int, int]]:
+    """max over w of |part[w]|, and the smallest w attaining it, for each of
+    one or two parts; for two, then the same for |part0[w]| + |part1[w]|.
 
-    The sum is taken one group at a time in reused int32 buffers, so no
-    full-size copy is made; a running (peak, index) pair moves only on a
+    Each walk is taken one group at a time in a reused int32 buffer, so no
+    full-size copy is made; its running (peak, index) pair moves only on a
     strictly larger value, so on a tie the earlier group keeps the index."""
     size = parts[0].size
     group = min(size, _GROUP_POINTS)
-    # the first group allocates the buffers, the rest reuse them
-    total = other = None
-    peak = at = -1
+    peaks = [(-1, -1)] * (2 * len(parts) - 1)
+    buffers = [None] * len(peaks)  # the first group allocates them, the rest reuse them
     for start in range(0, size, group):
-        total = np.abs(parts[0][start : start + group], out=total)
-        for part in parts[1:]:
-            other = np.abs(part[start : start + group], out=other)
-            total += other
-        i = int(total.argmax())
-        top = int(total[i])
-        if top > peak:
-            peak, at = top, start + i
-    return peak, at
+        for p, part in enumerate(parts):
+            buffers[p] = np.abs(part[start : start + group], out=buffers[p])
+        if len(parts) == 2:
+            buffers[2] = np.add(buffers[0], buffers[1], out=buffers[2])
+        for p, values in enumerate(buffers):
+            i = int(values.argmax())
+            top = int(values[i])
+            if top > peaks[p][0]:
+                peaks[p] = (top, start + i)
+    return peaks
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +159,7 @@ class WalshSpectrum:
     @cached_property
     def _peak(self) -> tuple[int, int]:
         """max|W| and the smallest index attaining it."""
-        return _grouped_peak(self.values)
+        return _grouped_peaks(self.values)[0]
 
     def max_abs(self) -> int:
         return self._peak[0]
@@ -235,8 +243,12 @@ class SpectrumSweep:
 
         The carried pair fills slot 0, so a half equal to the carried table
         gets its spectrum by the transform's last pass over that pair, in
-        place for slot 0 or into slot 1; a half that is not is transformed
-        afresh.  The join is exact in int32: |W_a| + |W_b| <= 2**(k_max-1).
+        place for slot 0 or into slot 1.  A half that is not, but one of
+        whose own halves equals one of the carried table's, takes that
+        quarter's spectrum from slot 0, transforms its other half into the
+        other quarter of its slot, and joins the two by one pass at the
+        quarter stride.  Any other half is transformed afresh.  The joins
+        are exact in int32: |W_a| + |W_b| <= 2**(k_max-1).
         Tables a and b that are not t's halves are a ValueError, raised
         before the buffer or the carried table changes."""
         if t.size > self.values.size:
@@ -246,18 +258,30 @@ class SpectrumSweep:
             raise ValueError(f"the tables given are not the two halves of a table on {t.n} variables")
         slots = self.values[: t.size].reshape(2, -1)
         carried, self.table = self.table, None  # the slots are about to change
+        # the carried pair is the spectra of these, in slot 0's quarters
+        kept = carried.halves() if carried is not None and carried.n == a.n else ()
         halves, spectra = (a, b), [None, None]
         for i in (1, 0):  # slot 1 first: slot 0 holds the carried pair until it is written
-            if halves[i] == carried:
+            half = halves[i]
+            parts = half.halves() if kept and half != carried else ()
+            shared = [(j, q) for j, part in enumerate(parts) for q, quarter in enumerate(kept) if part == quarter]
+            if half == carried:
                 left, right = slots[0].reshape(2, -1)
                 if i:
                     np.add(left, right, out=slots[1][: left.size])
                     np.subtract(left, right, out=slots[1][left.size :])
                 else:
                     _butterfly(slots[0], left.size)
-                spectra[i] = _read_only(carried.n, slots[i])
+            elif shared:
+                j, q = shared[0]  # half j of this half is the carried table's half q
+                quarters = slots[i].reshape(2, -1)
+                if i or j != q:  # the kept quarter is not where it belongs
+                    np.copyto(quarters[j], slots[0].reshape(2, -1)[q])
+                walsh_transform(parts[1 - j], out=quarters[1 - j])
+                _butterfly(slots[i], quarters[0].size)
             else:
-                spectra[i] = walsh_transform(halves[i], out=slots[i])
+                walsh_transform(half, out=slots[i])
+            spectra[i] = _read_only(half.n, slots[i])
         self.table = t
         return spectra
 
@@ -268,11 +292,18 @@ def concat_nonlinearity(left: WalshSpectrum, right: WalshSpectrum) -> int:
 
     The last butterfly pass of concat(a, b) gives W(0||w) = W_a(w) + W_b(w)
     and W(1||w) = W_a(w) - W_b(w), so its max|W| is the largest
-    |W_a(w)| + |W_b(w)|.  That sum is taken one group at a time in two
-    reused int32 buffers, exact because |W_a| + |W_b| <= 2**(n+1) <= 2**30."""
+    |W_a(w)| + |W_b(w)|.  That sum is taken one group at a time in reused
+    int32 buffers, exact because |W_a| + |W_b| <= 2**(n+1) <= 2**30.  The
+    same walk takes each half's own max|W| and first index, which it
+    caches in left and right."""
     check_same_vars(left.n, right.n)
     check_vars(left.n + 1)  # as concat would refuse it; the bound needs n + 1 <= 30
-    return (1 << left.n) - _grouped_peak(left.values, right.values)[0] // 2
+    left_peak, right_peak, (peak, _) = _grouped_peaks(left.values, right.values)
+    # the walk took each half's own peak too: seed its cached _peak, which
+    # the same walk over that half alone would compute
+    vars(left).setdefault("_peak", left_peak)
+    vars(right).setdefault("_peak", right_peak)
+    return (1 << left.n) - peak // 2
 
 
 def nonlinearity(t: TruthTable) -> int:

@@ -279,11 +279,13 @@ class TestReports:
 
     def test_one_transform_per_report(self, monkeypatch):
         # one transform of each half: N(m) comes from the halves' spectra,
-        # and from k = 5 on the half that is majority(k - 1) is carried
+        # and from k = 5 on the half that is majority(k - 1) is carried; the
+        # other half has majority(k - 2), a half of the carried table, as one
+        # of its halves, so only its other half, on k - 2 variables, is transformed
         calls = count_transforms(monkeypatch)
         reports = verify_identities(12)
         assert all(rep.all_passed() for rep in reports)
-        assert calls == [3, 3] + [k - 1 for k in range(5, 13)]
+        assert calls == [3, 3] + [k - 2 for k in range(5, 13)]
 
     def test_two_transforms_per_standalone_report(self, monkeypatch):
         calls = count_transforms(monkeypatch)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import re
 
 import numpy as np
@@ -61,6 +62,14 @@ def handmade_spectrum(n: int, entries: dict[int, int]) -> WalshSpectrum:
         values[at] = value
     values.setflags(write=False)
     return WalshSpectrum(n, values)
+
+
+def draw_other(n: int, rng: np.random.Generator, avoid: tuple[TruthTable, ...]) -> TruthTable:
+    """A random table on n variables that is none of the tables in avoid."""
+    table = random_table(n, rng)
+    while table in avoid:
+        table = random_table(n, rng)
+    return table
 
 
 def kernel_tables(n: int) -> list[TruthTable]:
@@ -241,6 +250,19 @@ class TestConcatNonlinearity:
         assert nonlinearity(concat(mirrored, g)) == doubled
         assert concat_nonlinearity(walsh_transform(mirrored), walsh_transform(g)) == doubled
 
+    @pytest.mark.parametrize("n", [18, 19])
+    def test_the_walk_seeds_each_halfs_peak(self, n):
+        # each half's max|W| ties across two groups, and the largest
+        # |W_a| + |W_b| is at index 3, where neither half peaks
+        left = handmade_spectrum(n, {3: 4, (1 << 17) + 4: -10, (1 << n) - 1: 10})
+        right = handmade_spectrum(n, {1: -8, 3: 8, (1 << 17) + 9: 8})
+        assert concat_nonlinearity(left, right) == (1 << n) - 6
+        for half in (left, right):
+            assert "_peak" in vars(half)  # seeded by the walk: max|W| reads no value again
+            fresh = WalshSpectrum(n, half.values.copy())
+            assert half.max_abs_index() == fresh.max_abs_index() != 3
+            assert half.nonlinearity() == fresh.nonlinearity()
+
     def test_variable_counts_must_match(self):
         with pytest.raises(ValueError, match="variable counts differ: 3 vs 4"):
             concat_nonlinearity(walsh_transform(TruthTable(3, 0)), walsh_transform(TruthTable(4, 0)))
@@ -256,7 +278,8 @@ class TestSpectrumSweep:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_a_half_equal_to_the_carried_table_is_joined(self, monkeypatch, n):
         # after t, concat(t, u) and concat(u, t) transform only u; concat(u, u)
-        # transforms both halves, and concat(t, t) neither
+        # transforms both halves, and concat(t, t) neither.  At n = 1 and 2 a
+        # half of u can be one of t's halves: u then transforms its other half
         rng = np.random.default_rng(n)
         t = u = random_table(n, rng)
         while u == t:
@@ -271,8 +294,50 @@ class TestSpectrumSweep:
             spectra = sweep.half_spectra(table, *halves)
             assert all(np.array_equal(s.values, fresh[h]) for s, h in zip(spectra, halves)), halves
             assert not any(s.values.flags.writeable for s in spectra)
-            assert calls == [n] * sum(h != t for h in halves), halves
+            # slot 1 is written first
+            expected = [n - 1 if set(h.halves()) & set(t.halves()) else n for h in reversed(halves) if h != t]
+            assert calls == expected, halves
             assert sweep.table == table
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_a_half_with_a_carried_quarter_transforms_only_its_other_half(self, monkeypatch, n):
+        # after t, a half whose left or right half is one of t's halves joins
+        # that quarter's spectrum, kept in slot 0, to a transform of its other
+        # half, on n - 1 variables; r is none of t's halves, so each such half
+        # shares exactly one of its halves with t
+        rng = np.random.default_rng(n)
+        t = random_table(n, rng)
+        while len(set(t.halves())) < 2:
+            t = random_table(n, rng)
+        kept = t.halves()
+        r = draw_other(n - 1, rng, kept)
+        quarters = [concat(kept[0], r), concat(r, kept[0]), concat(kept[1], r), concat(r, kept[1])]
+        fresh = {h: walsh_transform(h).values for h in [*quarters, t, concat(r, r)]}
+        calls = count_transforms(monkeypatch)
+        # in slot 0 and in slot 1, beside each other kind of half
+        for halves in (p for p in itertools.product(fresh, repeat=2) if set(p) & set(quarters)):
+            sweep = SpectrumSweep(n + 1)
+            sweep.half_spectra(t, *kept)
+            calls.clear()
+            table = concat(*halves)
+            spectra = sweep.half_spectra(table, *halves)
+            assert all(np.array_equal(s.values, fresh[h]) for s, h in zip(spectra, halves)), halves
+            assert not any(s.values.flags.writeable for s in spectra)
+            # slot 1 is written first
+            assert calls == [n - 1 if h in quarters else n for h in reversed(halves) if h != t], halves
+            assert sweep.table == table
+        # the kept halves are the carried table's: once another table is
+        # carried, whose halves no half here shares, both halves are fresh
+        other = draw_other(n - 1, rng, (*kept, r))
+        for halves in itertools.product(quarters, repeat=2):
+            sweep = SpectrumSweep(n + 1)
+            sweep.half_spectra(t, *kept)
+            sweep.table = concat(other, other)
+            sweep.values[:] = 0
+            calls.clear()
+            spectra = sweep.half_spectra(concat(*halves), *halves)
+            assert all(np.array_equal(s.values, fresh[h]) for s, h in zip(spectra, halves)), halves
+            assert calls == [n, n], halves
 
 
 class TestNonlinearity:
