@@ -5,12 +5,24 @@ whose index bits are set in m (same bit convention as truth tables, so
 bit p stands for x_{n-p}).  The transform is an XOR butterfly done
 directly on the packed bits, and it is its own inverse, so an affine
 table is built as the transform of its degree-1 ANF.
+
+The ANF text lists the terms by degree, descending, then by m, descending.
+A term's name is a prefix for the high part of m plus a name for its low
+part, the low max(n // 2, min(n, 12)) bits.  degree() and render() read the
+coefficients through a per-n grid: one row per high part, one column per
+low part, the columns put into popcount blocks with the low parts
+descending within each block.  A run, the terms of one degree and one high
+part, is then one block of one row, its terms in output order, and the
+grid lists the runs in output order with their prefixes.  One read finds
+the set cells, ascending, and each run's stretch of them by binary search:
+no sort and no popcount per term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +70,48 @@ def _name_tables(n: int) -> tuple[np.ndarray, np.ndarray, int]:
     return table(low_bits, n), table(0, low_bits), low_bits
 
 
+class _Grid(NamedTuple):
+    """The per-n layout that degree() and render() read the coefficients
+    through; see the module docstring."""
+
+    columns: np.ndarray  # the low part in each grid column
+    names: np.ndarray  # the name of each grid column's low part
+    edges: np.ndarray  # (2, runs): each run's first cell and the one past its last
+    degrees: np.ndarray  # each run's degree, never increasing
+    prefixes: np.ndarray  # each run's name prefix: its high part's name, "1" for the constant
+
+
+@lru_cache(maxsize=None)
+def _grid(n: int) -> _Grid:
+    """The grid layout on n variables, with its runs in output order."""
+    high, low, low_bits = _name_tables(n)
+    rows, cols = len(high), len(low)
+    weights = np.bitwise_count(np.arange(cols))
+    # a stable sort of the reversed popcounts keeps each block's low parts descending
+    columns = (cols - 1) - np.argsort(weights[::-1], kind="stable")
+    block = np.searchsorted(weights[columns], np.arange(low_bits + 2))  # block q: columns block[q]:block[q + 1]
+    # run (d, h) is block d - popcount(h) of row h, for d from n and h from
+    # rows - 1 down to 0, wherever that block exists
+    degrees, highs = np.arange(n, -1, -1), np.arange(rows - 1, -1, -1)
+    low_weight = degrees[:, None] - np.bitwise_count(highs)
+    d_at, h_at = ((low_weight >= 0) & (low_weight <= low_bits)).nonzero()
+    low_weight, row = low_weight[d_at, h_at], highs[h_at]
+    prefixes = high.take(row)
+    # the last run is the constant monomial alone, whose low name is "", so
+    # its prefix is its whole name
+    prefixes[-1] = "1"
+    grid = _Grid(
+        columns=columns,
+        names=low.take(columns),
+        edges=row * cols + block[np.stack([low_weight, low_weight + 1])],
+        degrees=degrees[d_at].astype(np.uint8),
+        prefixes=prefixes,
+    )
+    for shared in grid:
+        shared.flags.writeable = False
+    return grid
+
+
 @dataclass(frozen=True)
 class AnfTable:
     """Packed Moebius coefficients; bit m is the coefficient of monomial m."""
@@ -73,20 +127,27 @@ class AnfTable:
         return TruthTable(self.n, _mobius(self.coeffs, self.n))
 
     @cached_property
-    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Set coefficient indices, ascending, and their popcounts: the
-        monomial sizes, which degree() and render() share."""
-        idx = np.flatnonzero(unpack_bits(self.coeffs, 1 << self.n))
-        return idx, np.bitwise_count(idx)
+    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one read of the coefficients that degree() and render() share:
+        the grid cells of the set ones, ascending; the runs that hold any, in
+        output order; and each such run's (first, past-last) positions in the
+        cells, as a (2, runs) array."""
+        grid = _grid(self.n)
+        bits = unpack_bits(self.coeffs, 1 << self.n).view(bool).reshape(-1, len(grid.columns))
+        cells = np.flatnonzero(bits.take(grid.columns, axis=1))
+        bounds = cells.searchsorted(grid.edges)
+        live = (bounds[0] < bounds[1]).nonzero()[0]
+        return cells, live, bounds[:, live]
 
     def monomials(self) -> list[int]:
         """Set coefficient indices, ascending."""
-        return self._terms[0].tolist()
+        return np.flatnonzero(unpack_bits(self.coeffs, 1 << self.n).view(bool)).tolist()
 
     def degree(self) -> int:
-        """Largest monomial size; 0 for the constants."""
-        sizes = self._terms[1]
-        return int(sizes.max()) if sizes.size else 0
+        """Largest monomial size; 0 for the constants.  The runs are in
+        output order, so it is the degree of the first run with a term."""
+        live = self._runs[1]
+        return int(_grid(self.n).degrees[live[0]]) if live.size else 0
 
     def monomial_string(self, m: int) -> str:
         if not 0 <= m < 1 << self.n:
@@ -100,25 +161,21 @@ class AnfTable:
         """Sum of monomials, highest degree first, 'x1x2'-style variables.
 
         Within one degree the variable tuples ascend lexicographically, which
-        is descending m because x1 sits in the top index bit."""
-        idx, sizes = self._terms
-        if not idx.size:
+        is descending m because x1 sits in the top index bit.  The text is
+        one join per run that holds a term, prefix + (" + " + prefix).join
+        of its low names, with no sort: the grid puts the runs in this order
+        and each run's cells in descending m."""
+        cells, live, bounds = self._runs
+        if not cells.size:
             return "0"
-        # (degree, m) packed into one key; keys are distinct, so reversing the
-        # ascending sort gives the descending order
-        keys = np.sort(np.left_shift(sizes, self.n, dtype=idx.dtype) | idx)[::-1]
-        high, low, low_bits = _name_tables(self.n)
-        names = low.take(keys & (len(low) - 1)).tolist()  # the shared str objects
-        # a run is a stretch of terms with one high part of m, so one name prefix
-        tops = keys & ((1 << self.n) - len(low))
-        cuts = [i + 1 for i in (tops[1:] != tops[:-1]).nonzero()[0].tolist()]
-        runs = []
-        for start, stop in zip([0] + cuts, cuts + [len(names)]):
-            prefix = high[tops.item(start) >> low_bits]
-            runs.append(prefix + (" + " + prefix).join(names[start:stop]))
-        # the constant monomial has degree 0, so it is last, named ""
-        text = " + ".join(runs)
-        return text + "1" if self.coeffs & 1 else text
+        grid = _grid(self.n)
+        # a cell's column is its index mod the row length; the shared str objects
+        names = grid.names.take(cells, mode="wrap").tolist()
+        runs = [
+            prefix + (" + " + prefix).join(names[start:stop])
+            for prefix, start, stop in zip(grid.prefixes.take(live).tolist(), *bounds.tolist())
+        ]
+        return " + ".join(runs)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -198,6 +199,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boolfn",

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolfn import AnfTable, TruthTable, from_bitstring, random_table, to_anf
-from boolfn.anf import _name_tables
+from boolfn.anf import _grid, _name_tables
 
 from conftest import truth_tables
 
@@ -46,6 +46,13 @@ def per_term_render(a: AnfTable) -> str:
     """ANF text one monomial_string per term, sorted by (-size, -m)."""
     ms = sorted(a.monomials(), key=lambda m: (-m.bit_count(), -m))
     return " + ".join(a.monomial_string(m) for m in ms) or "0"
+
+
+def from_monomials(n: int, ms) -> AnfTable:
+    """The ANF with exactly the coefficients ms set."""
+    bits = np.zeros(1 << n, dtype=bool)
+    bits[ms] = True
+    return AnfTable(n, int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
 
 
 ANF_ALPHABET = re.compile(r"^(0|[0-9x +]+)$")  # nothing in it needs a JSON escape
@@ -189,15 +196,17 @@ class TestRendering:
 
 class TestRenderRuns:
     """Above 12 variables a term's name is a high-part prefix plus a low-part
-    name, and render() writes one run of terms per prefix."""
+    name, and render() writes one run of terms per degree and prefix; n = 17
+    and 18 have 32 and 64 prefixes, and 18 is the benchmark's size."""
 
-    WIDE = range(13, 17)
+    WIDE = range(13, 19)
 
     @staticmethod
     def check(a: AnfTable) -> str:
         text = a.render()
         assert text == per_term_render(a)
         assert ANF_ALPHABET.match(text)
+        assert a.degree() == max((m.bit_count() for m in a.monomials()), default=0)
         return text
 
     @pytest.mark.parametrize("n", WIDE)
@@ -225,3 +234,54 @@ class TestRenderRuns:
         coeffs = 1 << top | 1 << (top - 1) | 1 << (top >> 1) | 1 << 3
         self.check(AnfTable(n, coeffs))
         self.check(AnfTable(n, coeffs | 1))
+
+    @pytest.mark.parametrize("n", WIDE)
+    def test_a_whole_block(self, n):
+        # every low part of one popcount under one high part: one full run,
+        # alone and beside the same block under the next high part down
+        _, low, low_bits = _name_tables(n)
+        h = (1 << (n - low_bits)) - 1
+        size = low_bits // 2
+        block = [l for l in range(len(low)) if l.bit_count() == size]
+        for ms in ([h << low_bits | l for l in block], [(g << low_bits) | l for g in (h, h - 1) for l in block]):
+            a = from_monomials(n, ms)
+            text = self.check(a)
+            assert text.count(" + ") == len(ms) - 1
+            assert a.degree() == h.bit_count() + size
+
+    @pytest.mark.parametrize("n", WIDE)
+    def test_one_term_per_degree(self, n):
+        # one term per degree, x1..xd for every d: every run holds one term
+        a = from_monomials(n, [((1 << d) - 1) << (n - d) for d in range(n + 1)])
+        expected = " + ".join("".join(f"x{v}" for v in range(1, d + 1)) for d in range(n, 0, -1)) + " + 1"
+        assert self.check(a) == expected
+        # and x_{n-d+1}..xn for every d > 0, the low part full from d = low_bits on
+        self.check(from_monomials(n, [(1 << d) - 1 for d in range(1, n + 1)]))
+
+    def test_grid_at_the_cap(self):
+        # the layout alone: no table is unpacked
+        n = 30
+        high, low, low_bits = _name_tables(n)
+        grid = _grid(n)
+        start, stop = grid.edges
+        row, cols = start // len(low), len(low)
+        assert grid.edges.shape == (2, len(high) * (low_bits + 1))
+        degrees = grid.degrees.astype(int)
+        assert (np.diff(degrees) <= 0).all()
+        # within one degree the high parts descend, and each run's cells hold
+        # the low parts of its degree less its high part's popcount
+        same = degrees[1:] == degrees[:-1]
+        assert (np.diff(row)[same] < 0).all()
+        assert (np.bitwise_count(row) + np.bitwise_count(grid.columns[start % cols]) == degrees).all()
+        assert (np.bitwise_count(grid.columns[(stop - 1) % cols]) == np.bitwise_count(grid.columns[start % cols])).all()
+        # the runs tile the grid, each within one row
+        order = np.argsort(start)
+        assert start[order][0] == 0 and stop[order][-1] == 1 << n
+        assert (start[order][1:] == stop[order][:-1]).all()
+        assert (row == (stop - 1) // cols).all()
+        # the first run is the one full-degree term; the last, the constant
+        a = AnfTable(n, 0)
+        assert degrees[0] == n and stop[0] - start[0] == 1
+        assert grid.prefixes[0] + grid.names[start[0] % cols] == a.monomial_string((1 << n) - 1)
+        assert degrees[-1] == 0 and (start[-1], stop[-1]) == (0, 1)
+        assert grid.prefixes[-1] == a.monomial_string(0)

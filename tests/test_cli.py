@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from boolfn import IdentityResult, TruthTable, WalshSpectrum, from_bitstring, random_table, walsh_transform
-from boolfn.cli import analyze_table, main
+from boolfn.cli import _build_parser, analyze_table, main
 
 MAJ5 = "00000001000101110001011101111111"
 
@@ -282,6 +282,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--tt", "0110", "--bogus"])
         assert exc.value.code == 2
+
+    # the parser is built once per process; a call after another must read
+    # its arguments as a first call does, with nothing left from the last one
+    @pytest.mark.parametrize(
+        "before, argv",
+        [
+            (["analyze", "--tt", MAJ5, "--text"], ["analyze", "--tt", MAJ5]),
+            (["verify", "--max-k", "6"], ["analyze", "--tt", MAJ5]),
+        ],
+        ids=["text-then-json", "verify-then-analyze"],
+    )
+    def test_a_second_call_reads_as_a_first(self, capsys, before, argv):
+        _build_parser.cache_clear()
+        first = run(capsys, *argv)
+        _build_parser.cache_clear()
+        assert run(capsys, *before)[0] == 0
+        assert run(capsys, *argv) == first
+        assert _build_parser.cache_info().misses == 1
 
     @pytest.mark.parametrize("value", ["abc", "-1", "31"])
     def test_invalid_variable_cap(self, capsys, monkeypatch, value):
