@@ -16,6 +16,11 @@ part, is then one block of one row, its terms in output order, and the
 grid lists the runs in output order with their prefixes.  One read finds
 the set cells, ascending, and each run's stretch of them by binary search:
 no sort and no popcount per term.
+
+The grid is the one per-n cache of names: each run's prefix and each
+column's low name.  A row holds a power of two of cells, so a term's low
+name is read by its column, the low bits of its cell.  monomial_string()
+spells a name from the bits of m alone and reads nothing from the grid.
 """
 
 from __future__ import annotations
@@ -50,24 +55,13 @@ def _mobius(bits: int, n: int) -> int:
     return bits
 
 
-@lru_cache(maxsize=None)
-def _name_tables(n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Monomial names of the high and low parts of the index bits, as
-    read-only object arrays of str, and the low part's width: the name of m
-    is high[m >> low_bits] + low[m & mask].  The low part takes up to 12
-    bits, so every n <= 12 has the one prefix "", and neither table passes
-    2**15 names at n = 30."""
-    low_bits = max(n // 2, min(n, 12))
-
-    def table(first: int, stop: int) -> np.ndarray:
-        names = [""]
-        for p in range(first, stop):  # bit p is x_{n-p}, which is written first
-            names += [f"x{n - p}{rest}" for rest in names]
-        shared = np.array(names, dtype=object)
-        shared.flags.writeable = False
-        return shared
-
-    return table(low_bits, n), table(0, low_bits), low_bits
+def _names(n: int, first: int, stop: int) -> list[str]:
+    """The names of the values of index bits first..stop-1, in value order;
+    bit p is x_{n-p}, which is written first."""
+    names = [""]
+    for p in range(first, stop):
+        names += [f"x{n - p}{rest}" for rest in names]
+    return names
 
 
 class _Grid(NamedTuple):
@@ -84,7 +78,8 @@ class _Grid(NamedTuple):
 @lru_cache(maxsize=None)
 def _grid(n: int) -> _Grid:
     """The grid layout on n variables, with its runs in output order."""
-    high, low, low_bits = _name_tables(n)
+    low_bits = max(n // 2, min(n, 12))
+    high, low = _names(n, low_bits, n), _names(n, 0, low_bits)
     rows, cols = len(high), len(low)
     weights = np.bitwise_count(np.arange(cols))
     # a stable sort of the reversed popcounts keeps each block's low parts descending
@@ -96,13 +91,13 @@ def _grid(n: int) -> _Grid:
     low_weight = degrees[:, None] - np.bitwise_count(highs)
     d_at, h_at = ((low_weight >= 0) & (low_weight <= low_bits)).nonzero()
     low_weight, row = low_weight[d_at, h_at], highs[h_at]
-    prefixes = high.take(row)
+    prefixes = np.array(high, dtype=object).take(row)
     # the last run is the constant monomial alone, whose low name is "", so
     # its prefix is its whole name
     prefixes[-1] = "1"
     grid = _Grid(
         columns=columns,
-        names=low.take(columns),
+        names=np.array(low, dtype=object).take(columns),
         edges=row * cols + block[np.stack([low_weight, low_weight + 1])],
         degrees=degrees[d_at].astype(np.uint8),
         prefixes=prefixes,
@@ -129,14 +124,16 @@ class AnfTable:
     @cached_property
     def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The one read of the coefficients that degree() and render() share:
-        the grid cells of the set ones, ascending; the runs that hold any, in
-        output order; and each such run's (first, past-last) positions in the
-        cells, as a (2, runs) array."""
+        the grid columns of the set ones, in the order of their cells; the
+        runs that hold any, in output order; and each such run's (first,
+        past-last) positions in the cells, as a (2, runs) array."""
         grid = _grid(self.n)
         bits = unpack_bits(self.coeffs, 1 << self.n).view(bool).reshape(-1, len(grid.columns))
         cells = np.flatnonzero(bits.take(grid.columns, axis=1))
         bounds = cells.searchsorted(grid.edges)
         live = (bounds[0] < bounds[1]).nonzero()[0]
+        # a row's length is a power of two, so a cell's column is its low bits
+        cells &= len(grid.columns) - 1
         return cells, live, bounds[:, live]
 
     def monomials(self) -> list[int]:
@@ -150,12 +147,11 @@ class AnfTable:
         return int(_grid(self.n).degrees[live[0]]) if live.size else 0
 
     def monomial_string(self, m: int) -> str:
+        """The name of monomial m: x_{n-p} for each set bit p, highest p
+        first, and "1" for m = 0."""
         if not 0 <= m < 1 << self.n:
             raise ValueError(f"monomial index {m} outside 0..{(1 << self.n) - 1}")
-        if m == 0:
-            return "1"
-        high, low, low_bits = _name_tables(self.n)
-        return high[m >> low_bits] + low[m & (len(low) - 1)]
+        return "".join(f"x{self.n - p}" for p in reversed(range(m.bit_length())) if m >> p & 1) or "1"
 
     def render(self) -> str:
         """Sum of monomials, highest degree first, 'x1x2'-style variables.
@@ -165,12 +161,11 @@ class AnfTable:
         one join per run that holds a term, prefix + (" + " + prefix).join
         of its low names, with no sort: the grid puts the runs in this order
         and each run's cells in descending m."""
-        cells, live, bounds = self._runs
-        if not cells.size:
+        columns, live, bounds = self._runs
+        if not columns.size:
             return "0"
         grid = _grid(self.n)
-        # a cell's column is its index mod the row length; the shared str objects
-        names = grid.names.take(cells, mode="wrap").tolist()
+        names = grid.names.take(columns).tolist()  # the grid's shared str objects
         runs = [
             prefix + (" + " + prefix).join(names[start:stop])
             for prefix, start, stop in zip(grid.prefixes.take(live).tolist(), *bounds.tolist())

@@ -100,7 +100,9 @@ def _write_joined(values: np.ndarray, sep: str) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    t = _parse_table(args.tt, args.format, args.n)
+    # "-" reads the table from stdin: past n = 18 its text is too long for argv
+    text = sys.stdin.read().rstrip() if args.tt == "-" else args.tt
+    t = _parse_table(text, args.format, args.n)
     with _table_memory(t.n):
         spectrum = walsh_transform(t)
         payload = analyze_table(t, spectrum).to_dict()
@@ -208,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="weight, nonlinearity, degree, ANF of a table")
-    p.add_argument("--tt", required=True, help="truth table, '0'/'1' text or '0x...' hex")
+    p.add_argument("--tt", required=True, help="truth table, '0'/'1' text or '0x...' hex; '-' reads it from stdin")
     p.add_argument("--format", choices=("auto", "binary", "hex"), default="auto")
     p.add_argument("--n", type=int, default=None, help="expected variable count (checked)")
     p.add_argument("--text", action="store_true", help="plain text instead of JSON")

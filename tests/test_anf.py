@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolfn import AnfTable, TruthTable, from_bitstring, random_table, to_anf
-from boolfn.anf import _grid, _name_tables
+from boolfn.anf import _grid
 
 from conftest import truth_tables
 
@@ -180,16 +180,27 @@ class TestRendering:
         assert ANF_ALPHABET.match(to_anf(t).render())
 
     def test_one_name_prefix_up_to_12_variables(self):
+        # the low part is every index bit, so the grid has one row, whose
+        # prefix is "" ("1" on the constant's run)
         for n in range(13):
-            assert len(_name_tables(n)[0]) == 1
-        assert len(_name_tables(13)[0]) == 2
+            grid = _grid(n)
+            assert len(grid.names) == 1 << n
+            assert set(grid.prefixes.tolist()) <= {"", "1"}
+        assert set(_grid(13).prefixes.tolist()) == {"", "x1", "1"}
 
     def test_name_tables_at_the_cap(self):
-        high, low, low_bits = _name_tables(30)
-        assert len(high) == len(low) == 1 << 15 and low_bits == 15
+        grid = _grid(30)
+        cols = len(grid.names)
+        row = grid.edges[0] // cols
+        # 2**15 low names, and 2**15 prefixes, one per row, besides the constant's
+        assert cols == 1 << 15 and row.max() == (1 << 15) - 1
+        assert len(set(grid.prefixes[:-1].tolist())) == 1 << 15
+        # bit p is x_{30-p}; bits 14 and 15 sit on either side of the split:
+        # x15 is row 1's prefix and x16 the name of the column of low part 2**14
+        assert set(grid.prefixes[row == 1].tolist()) == {"x15"}
+        assert grid.names[np.flatnonzero(grid.columns == 1 << 14)].tolist() == ["x16"]
         a = AnfTable(30, 0)
         assert a.monomial_string((1 << 30) - 1) == "".join(f"x{v}" for v in range(1, 31))
-        # bit p is x_{30-p}; bits 14 and 15 sit on either side of the split
         assert [a.monomial_string(1 << p) for p in (0, 14, 15, 29)] == ["x30", "x16", "x15", "x1"]
         assert a.monomial_string((1 << 15) | (1 << 14)) == "x15x16"
 
@@ -239,10 +250,11 @@ class TestRenderRuns:
     def test_a_whole_block(self, n):
         # every low part of one popcount under one high part: one full run,
         # alone and beside the same block under the next high part down
-        _, low, low_bits = _name_tables(n)
+        cols = len(_grid(n).names)
+        low_bits = cols.bit_length() - 1
         h = (1 << (n - low_bits)) - 1
         size = low_bits // 2
-        block = [l for l in range(len(low)) if l.bit_count() == size]
+        block = [l for l in range(cols) if l.bit_count() == size]
         for ms in ([h << low_bits | l for l in block], [(g << low_bits) | l for g in (h, h - 1) for l in block]):
             a = from_monomials(n, ms)
             text = self.check(a)
@@ -258,14 +270,37 @@ class TestRenderRuns:
         # and x_{n-d+1}..xn for every d > 0, the low part full from d = low_bits on
         self.check(from_monomials(n, [(1 << d) - 1 for d in range(1, n + 1)]))
 
+    @pytest.mark.parametrize("n", [13, 18, 20])
+    def test_chosen_indices(self, n):
+        # the expected text is spelled here from each index's bits, sorted by
+        # (-popcount, -m); n = 20 has 256 name prefixes
+        def spell(m):
+            return "".join(f"x{n - p}" for p in range(n - 1, -1, -1) if m >> p & 1) or "1"
+
+        top = (1 << n) - 1
+        rng = np.random.default_rng(n)
+        sparse = {0, top, top >> 1, top ^ 1, (1 << 12) - 1, 1 << 12, (1 << 12) | 1, *(1 << p for p in range(n))}
+        sparse |= set(rng.integers(0, 1 << n, 40).tolist())
+        # about half the indices among the first and the last 2**15, at most:
+        # whole grid rows, the constant's and the full-degree term's
+        span = 1 << min(n, 15)
+        picked = np.flatnonzero(rng.random(span) < 0.5).tolist()
+        dense = {start + i for start in (0, (1 << n) - span) for i in picked}
+        for ms in (sparse, dense):
+            terms = sorted(ms, key=lambda m: (-m.bit_count(), -m))
+            a = from_monomials(n, list(ms))
+            assert a.render() == " + ".join(spell(m) for m in terms)
+            assert a.degree() == terms[0].bit_count()
+
     def test_grid_at_the_cap(self):
         # the layout alone: no table is unpacked
         n = 30
-        high, low, low_bits = _name_tables(n)
         grid = _grid(n)
+        cols = len(grid.names)
+        rows, low_bits = (1 << n) // cols, cols.bit_length() - 1
         start, stop = grid.edges
-        row, cols = start // len(low), len(low)
-        assert grid.edges.shape == (2, len(high) * (low_bits + 1))
+        row = start // cols
+        assert grid.edges.shape == (2, rows * (low_bits + 1))
         degrees = grid.degrees.astype(int)
         assert (np.diff(degrees) <= 0).all()
         # within one degree the high parts descend, and each run's cells hold

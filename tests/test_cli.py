@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -49,6 +50,13 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--tt", "0x0117177f", "--n", "5")
         assert code == 0
         assert json.loads(out)["weight"] == 16
+
+    @pytest.mark.parametrize("tt, flags", [(MAJ5, []), ("0x0117177f", ["--n", "5", "--text"])])
+    def test_table_from_stdin(self, capsys, monkeypatch, tt, flags):
+        # "--tt -" reads the text from stdin, its trailing whitespace stripped
+        expected = run(capsys, "analyze", "--tt", tt, *flags)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(tt + " \n"))
+        assert run(capsys, "analyze", "--tt", "-", *flags) == expected
 
     def test_variable_count_mismatch(self, capsys):
         code, out, err = run(capsys, "analyze", "--tt", "0x17", "--n", "4")
