@@ -16,13 +16,14 @@ which a SpectrumSweep writes into its buffer.  One of them is
 majority(k - 1), the right half for odd k and the left half for even k,
 so when iter_reports passes the same sweep from report to report, that
 half is found equal to the table the sweep carries and its spectrum is
-joined from the previous report's.  The other half, T(k - 1, k/2 - 1) for
-even k and T(k - 1, (k + 1)/2) for odd k, holds majority(k - 2), a half of
-the carried table, as its left or right half, so its spectrum is that
-kept quarter's joined to a transform of its other half: each report
-transforms one table on k - 2 variables.  The walk that takes N(majority(k))
-from the halves' spectra takes each half's own N as well, so the
-identities read no spectrum again.
+joined from the previous report's.  Both halves are threshold tables,
+T(k - 1, ceil(k/2)) and T(k - 1, ceil(k/2) - 1), and T(m, s) is
+T(m - 1, s) || T(m - 1, s - 1), so the left half's right half is the right
+half's left half, one level down after another; the sweep derives the
+other half's spectrum from the carried half's along that chain, and
+transforms only a table on one variable per report.  The walk that takes
+N(majority(k)) from the halves' spectra takes each half's own N as well,
+so the identities read no spectrum again.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ def threshold(n: int, t: int) -> TruthTable:
 
     Byte j of the packed table holds points 8j..8j+7, whose weights are
     popcount(j) plus the weights of the low three index bits, so the byte
-    depends only on popcount(j): one packed row per high popcount, gathered
-    in one take.  A table under 8 points packs only its own points."""
+    depends only on popcount(j): one packed row per popcount.  The bytes
+    come in blocks of up to 256, and block j >> 8 holds the rows for
+    popcount(j & 255) + popcount(j >> 8), so one block is built per high
+    popcount and the blocks are gathered in one take.  A table under 8
+    points packs only its own points."""
     check_vars(n)
     if not 0 <= t <= n + 1:
         raise ValueError(f"threshold {t} outside 0..{n + 1}")
@@ -57,8 +61,10 @@ def threshold(n: int, t: int) -> TruthTable:
     low = np.bitwise_count(np.arange(min(size, 8)))
     high = np.arange(max(n - 3, 0) + 1)[:, None]
     rows = np.packbits(low + high >= t, axis=1, bitorder="little").reshape(-1)
-    packed = rows[np.bitwise_count(np.arange((size + 7) // 8, dtype=np.uint32))]
-    return TruthTable(n, int.from_bytes(packed.tobytes(), "little"))
+    width = min((size + 7) // 8, 256)  # bytes per block
+    counts = np.bitwise_count(np.arange((size + 7) // 8 // width))  # of each block's index
+    blocks = rows[np.bitwise_count(np.arange(width)) + np.arange(counts[-1] + 1)[:, None]]
+    return TruthTable(n, int.from_bytes(blocks.take(counts, axis=0).tobytes(), "little"))
 
 
 def _majority_threshold(k: int) -> int:

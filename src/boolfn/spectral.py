@@ -26,11 +26,16 @@ A SpectrumSweep owns one such array for a run of tables, each a half of
 the next: it writes the spectra of a table's two halves side by side and
 keeps the table, and when a half of the next table equals it, the
 transform's last pass alone joins the kept pair into that half's
-spectrum, W(0||w) = W_a(w) + W_b(w) and W(1||w) = W_a(w) - W_b(w).  A
-half of the next table that is not the kept table, but has one of the
-kept table's halves as one of its own halves, takes that quarter's
-spectrum from where it is kept, transforms only its other half, and
-joins the two by the same pass one level down, at the quarter stride.
+spectrum, W(0||w) = W_a(w) + W_b(w) and W(1||w) = W_a(w) - W_b(w).  The
+other half's spectrum is derived from that one's by the same relation
+read backwards: half the sum of a spectrum's halves is its first half's
+spectrum, half their difference its second half's.  So when the other
+half's first half is the known half's second half, or its second half the
+known half's first, that quarter's spectrum is read off, the rest is
+derived from it one level down, and one pass joins the two.  Threshold
+tables chain this way down to one variable, T(m, s) being
+T(m-1, s) || T(m-1, s-1), so a run of majority tables transforms only a
+table on one variable per table.
 Nonlinearity comes out of the spectrum as 2**(n-1) - max|W|/2.
 One grouped walk takes every peak: the largest |W| of one spectrum, or
 for two spectra the largest |W| of each and of their sum, read one group
@@ -226,6 +231,32 @@ def _read_only(n: int, array: np.ndarray) -> WalshSpectrum:
     return WalshSpectrum(n, values)
 
 
+def _derive(t: TruthTable, u: TruthTable, w_u: np.ndarray, out: np.ndarray) -> None:
+    """Write t's spectrum into out from w_u, the spectrum of u, a table on
+    the same n, when t's first half is u's second half or t's second half
+    is u's first.
+
+    The halves of w_u are W_u0 + W_u1 and W_u0 - W_u1, so half their
+    difference is W_u1 and half their sum is W_u0, exact in int32 as
+    |W_u[:h]| + |W_u[h:]| <= 2**(n+1) <= 2**30.  Down: if t's first half x
+    is u's second half, W_x is half the difference, and t's second half is
+    derived from x.  Up: if t's second half y is u's first half, W_y is half
+    the sum, and x is derived from y.  One butterfly pass at stride h then
+    joins the two.  Both relations are checked on packed bits; where
+    neither holds, or n <= 1, t is transformed afresh."""
+    if t.n > 1:
+        h = t.size // 2
+        parts, others, slots = t.halves(), u.halves(), out.reshape(2, h)
+        for j, combine in ((0, np.subtract), (1, np.add)):  # down, then up
+            if parts[j] == others[1 - j]:
+                combine(w_u[:h], w_u[h:], out=slots[j])
+                slots[j] >>= 1
+                _derive(parts[1 - j], parts[j], slots[j], slots[1 - j])
+                _butterfly(out, h)
+                return
+    walsh_transform(t, out=out)
+
+
 class SpectrumSweep:
     """One int32 buffer of 2**k_max entries that carries the spectra of a
     table's two halves, side by side at its front, to the next table, and
@@ -243,12 +274,10 @@ class SpectrumSweep:
 
         The carried pair fills slot 0, so a half equal to the carried table
         gets its spectrum by the transform's last pass over that pair, in
-        place for slot 0 or into slot 1.  A half that is not, but one of
-        whose own halves equals one of the carried table's, takes that
-        quarter's spectrum from slot 0, transforms its other half into the
-        other quarter of its slot, and joins the two by one pass at the
-        quarter stride.  Any other half is transformed afresh.  The joins
-        are exact in int32: |W_a| + |W_b| <= 2**(k_max-1).
+        place for slot 0 or into slot 1; with no such half, a is transformed
+        afresh.  The other half's spectrum is then derived from that one's
+        (see _derive), which transforms afresh where no relation holds.
+        The joins are exact in int32: |W_a| + |W_b| <= 2**(k_max-1).
         Tables a and b that are not t's halves are a ValueError, raised
         before the buffer or the carried table changes."""
         if t.size > self.values.size:
@@ -258,32 +287,20 @@ class SpectrumSweep:
             raise ValueError(f"the tables given are not the two halves of a table on {t.n} variables")
         slots = self.values[: t.size].reshape(2, -1)
         carried, self.table = self.table, None  # the slots are about to change
-        # the carried pair is the spectra of these, in slot 0's quarters
-        kept = carried.halves() if carried is not None and carried.n == a.n else ()
-        halves, spectra = (a, b), [None, None]
-        for i in (1, 0):  # slot 1 first: slot 0 holds the carried pair until it is written
-            half = halves[i]
-            parts = half.halves() if kept and half != carried else ()
-            shared = [(j, q) for j, part in enumerate(parts) for q, quarter in enumerate(kept) if part == quarter]
-            if half == carried:
-                left, right = slots[0].reshape(2, -1)
-                if i:
-                    np.add(left, right, out=slots[1][: left.size])
-                    np.subtract(left, right, out=slots[1][left.size :])
-                else:
-                    _butterfly(slots[0], left.size)
-            elif shared:
-                j, q = shared[0]  # half j of this half is the carried table's half q
-                quarters = slots[i].reshape(2, -1)
-                if i or j != q:  # the kept quarter is not where it belongs
-                    np.copyto(quarters[j], slots[0].reshape(2, -1)[q])
-                walsh_transform(parts[1 - j], out=quarters[1 - j])
-                _butterfly(slots[i], quarters[0].size)
+        halves = (a, b)
+        i = int(a != carried and b == carried)  # the half filled first
+        if halves[i] != carried:
+            walsh_transform(a, out=slots[0])
+        else:  # slot 0 holds the carried pair
+            left, right = slots[0].reshape(2, -1)
+            if i:
+                np.add(left, right, out=slots[1][: left.size])
+                np.subtract(left, right, out=slots[1][left.size :])
             else:
-                walsh_transform(half, out=slots[i])
-            spectra[i] = _read_only(half.n, slots[i])
+                _butterfly(slots[0], left.size)
+        _derive(halves[1 - i], halves[i], slots[i], slots[1 - i])
         self.table = t
-        return spectra
+        return [_read_only(half.n, slot) for half, slot in zip(halves, slots)]
 
 
 def concat_nonlinearity(left: WalshSpectrum, right: WalshSpectrum) -> int:

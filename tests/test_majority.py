@@ -72,7 +72,8 @@ class TestConstruction:
 
 
 class TestThreshold:
-    @pytest.mark.parametrize("n", range(11))
+    # from n = 11 on the bytes come in more than one block of 256
+    @pytest.mark.parametrize("n", range(21))
     def test_popcount_definition(self, n):
         weights = np.bitwise_count(np.arange(1 << n))
         for t in range(n + 2):
@@ -275,23 +276,27 @@ class TestReports:
         outcome = {r.name: r.passed for r in majority_report(9).identities}
         assert not outcome["odd_from_even_decomposition"]
         assert not outcome["left_half_weight_equals_nonlinearity"]
-        assert calls == [8, 8, 8]  # both halves, then the decomposition's fallback walsh_transform(prev)
+        # the left half, the right half derived from it down to one variable,
+        # then the decomposition's fallback walsh_transform(prev)
+        assert calls == [8, 1, 8]
 
     def test_one_transform_per_report(self, monkeypatch):
-        # one transform of each half: N(m) comes from the halves' spectra,
-        # and from k = 5 on the half that is majority(k - 1) is carried; the
-        # other half has majority(k - 2), a half of the carried table, as one
-        # of its halves, so only its other half, on k - 2 variables, is transformed
+        # N(m) comes from the halves' spectra, and from k = 5 on the half that
+        # is majority(k - 1) is carried.  The other half is a threshold table
+        # one step from it, so its spectrum is derived from the carried half's
+        # one level at a time, down to a table on one variable, which alone is
+        # transformed; k = 4 transforms its left half whole
         calls = count_transforms(monkeypatch)
         reports = verify_identities(12)
         assert all(rep.all_passed() for rep in reports)
-        assert calls == [3, 3] + [k - 2 for k in range(5, 13)]
+        assert calls == [3, 1] + [1] * 8  # k = 4, then k = 5..12
 
     def test_two_transforms_per_standalone_report(self, monkeypatch):
         calls = count_transforms(monkeypatch)
         reports = [majority_report(k) for k in range(4, 13)]
         assert all(rep.all_passed() for rep in reports)
-        assert calls == [k - 1 for k in range(4, 13) for _ in range(2)]
+        # the left half whole, then the right half derived down to one variable
+        assert calls == [n for k in range(4, 13) for n in (k - 1, 1)]
 
     @pytest.mark.parametrize("k", range(16, 21))
     def test_nonlinearity_equals_direct_transform(self, k):
@@ -333,7 +338,8 @@ class TestSweepCarry:
         assert sweep.table == majority(k)
 
     def test_a_carried_table_that_differs_falls_back_to_fresh_transforms(self, monkeypatch):
-        # whatever the buffer holds, a carried table unequal to majority(k - 1) is not read
+        # whatever the buffer holds, a carried table unequal to majority(k - 1)
+        # is not read: the left half is transformed whole, as in a standalone report
         calls = count_transforms(monkeypatch)
         for k in (8, 9):
             expected = majority_report(k).to_dict()
@@ -343,7 +349,7 @@ class TestSweepCarry:
             sweep.values[:] = 0
             calls.clear()
             assert majority_report(k, sweep).to_dict() == expected, k
-            assert calls == [k - 1, k - 1], k
+            assert calls == [k - 1, 1], k
 
     @pytest.mark.parametrize("wrong", ["random", "swapped"])
     def test_tables_that_are_not_the_halves_are_refused(self, rng, wrong):

@@ -25,8 +25,10 @@ from boolfn import (
     max_vars,
     nonlinearity,
     random_table,
+    threshold,
     walsh_transform,
 )
+from boolfn.spectral import _derive
 from boolfn.truthtable import _DEFAULT_MAX_VARS
 
 from conftest import count_transforms, truth_tables
@@ -274,19 +276,119 @@ class TestConcatNonlinearity:
             concat_nonlinearity(*halves)
 
 
+def unrelated(n: int, rng: np.random.Generator, *tables: TruthTable) -> TruthTable:
+    """A random table on n variables, none of tables, that neither derive
+    relation ties to any of them: its first half is not one's second half,
+    nor its second half one's first.  Below two variables the relations are
+    not checked, so any other table will do."""
+
+    def tied(r: TruthTable) -> bool:
+        return n > 1 and any(r.halves()[0] == u.halves()[1] or r.halves()[1] == u.halves()[0] for u in tables)
+
+    table = draw_other(n, rng, tables)
+    while tied(table):
+        table = draw_other(n, rng, tables)
+    return table
+
+
+def chain(u: TruthTable, steps: str, rng: np.random.Generator) -> TruthTable:
+    """A table derived from u one step per letter, "d" down or "u" up, that
+    ends in a table unrelated to the last one it is derived from."""
+    if not steps:
+        return unrelated(u.n, rng, u)
+    u0, u1 = u.halves()
+    if steps[0] == "d":  # its first half is u's second, its second half derived from that
+        return concat(u1, chain(u1, steps[1:], rng))
+    first = chain(u0, steps[1:], rng)  # its second half is u's first, its first half derived from that
+    while first == u1:  # which would be the down relation, checked first
+        first = chain(u0, steps[1:], rng)
+    return concat(first, u0)
+
+
+class TestDerive:
+    """_derive(t, u, w_u, out) writes t's spectrum from u's, through the relations between their halves."""
+
+    @staticmethod
+    def derived(calls: list[int], t: TruthTable, u: TruthTable) -> list[int]:
+        """The variable counts transformed while deriving t from u, after
+        checking the result against a fresh transform and w_u unchanged."""
+        w_u = walsh_transform(u).values.copy()
+        out = np.empty(t.size, dtype=np.int32)
+        calls.clear()
+        _derive(t, u, w_u, out)
+        assert np.array_equal(out, walsh_transform(t).values)
+        assert np.array_equal(w_u, walsh_transform(u).values)  # u's spectrum is only read
+        return calls
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("steps", ["d", "u"])
+    def test_one_step(self, monkeypatch, n, steps):
+        # random tables, no thresholds: only t's other half, on n - 1 variables, is transformed
+        rng = np.random.default_rng(n)
+        u = random_table(n, rng)
+        t = chain(u, steps, rng)
+        assert (t.halves()[0] == u.halves()[1]) == (steps == "d")
+        assert self.derived(count_transforms(monkeypatch), t, u) == [n - 1]
+
+    @pytest.mark.parametrize("steps", ["ddd", "uuu", "dudu", "uddu", "duuuud"])
+    def test_a_chain_of_several_levels(self, monkeypatch, steps):
+        n = 10
+        rng = np.random.default_rng(len(steps))
+        u = random_table(n, rng)
+        assert self.derived(count_transforms(monkeypatch), chain(u, steps, rng), u) == [n - len(steps)]
+
+    @pytest.mark.parametrize("steps", ["d" * 7, "u" * 7, "du" * 3 + "d"])
+    def test_a_chain_down_to_one_variable(self, monkeypatch, steps):
+        # only the table on one variable at the chain's end is transformed
+        rng = np.random.default_rng(8)
+        u = random_table(8, rng)
+        assert self.derived(count_transforms(monkeypatch), chain(u, steps, rng), u) == [1]
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_neither_relation_transforms_afresh(self, monkeypatch, n):
+        # u's halves in the wrong places, or in none, tie t to u by neither relation
+        rng = np.random.default_rng(n)
+        u = random_table(n, rng)
+        while len(set(u.halves())) < 2:
+            u = random_table(n, rng)
+        u0, u1 = u.halves()
+        r = draw_other(n - 1, rng, (u0, u1))
+        calls = count_transforms(monkeypatch)
+        for t in (concat(u0, r), concat(r, u1), unrelated(n, rng, u), u):
+            assert self.derived(calls, t, u) == [n], t
+
+    def test_one_variable_is_transformed(self, monkeypatch):
+        # at n = 1 the relations are not checked: every pair is transformed afresh
+        calls = count_transforms(monkeypatch)
+        for t, u in itertools.product([TruthTable(1, bits) for bits in range(4)], repeat=2):
+            assert self.derived(calls, t, u) == [1], (t, u)
+
+    @pytest.mark.parametrize(("m", "s"), [(10, 4), (14, 6), (17, 9)])
+    def test_threshold_neighbours(self, monkeypatch, m, s):
+        # the sweep's case: T(m, s) and T(m, s - 1) derive each other down to one variable
+        calls = count_transforms(monkeypatch)
+        for t, u in itertools.permutations((threshold(m, s), threshold(m, s - 1))):
+            assert self.derived(calls, t, u) == [1]
+
+
 class TestSpectrumSweep:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_a_half_equal_to_the_carried_table_is_joined(self, monkeypatch, n):
-        # after t, concat(t, u) and concat(u, t) transform only u; concat(u, u)
-        # transforms both halves, and concat(t, t) neither.  At n = 1 and 2 a
-        # half of u can be one of t's halves: u then transforms its other half
+        # after t, the half equal to t is joined from the carried pair and the
+        # other half derived from it.  u is tied to t by neither derive
+        # relation, nor are t's or u's own halves to each other, so each
+        # derivation transforms its table whole; concat(u, u) transforms its
+        # left half and derives its right half from that
         rng = np.random.default_rng(n)
-        t = u = random_table(n, rng)
-        while u == t:
-            u = random_table(n, rng)
+        t = random_table(n, rng)
+        while n > 1 and len(set(t.halves())) < 2:
+            t = random_table(n, rng)
+        u = unrelated(n, rng, t)
+        while n > 1 and len(set(u.halves())) < 2:
+            u = unrelated(n, rng, t)
         fresh = {t: walsh_transform(t).values, u: walsh_transform(u).values}
         calls = count_transforms(monkeypatch)
-        for halves in [(t, u), (u, t), (u, u), (t, t)]:
+        for halves, expected in [((t, u), [n]), ((u, t), [n]), ((u, u), [n, n]), ((t, t), [n])]:
             sweep = SpectrumSweep(n + 1)
             sweep.half_spectra(t, *t.halves())
             calls.clear()
@@ -294,50 +396,52 @@ class TestSpectrumSweep:
             spectra = sweep.half_spectra(table, *halves)
             assert all(np.array_equal(s.values, fresh[h]) for s, h in zip(spectra, halves)), halves
             assert not any(s.values.flags.writeable for s in spectra)
-            # slot 1 is written first
-            expected = [n - 1 if set(h.halves()) & set(t.halves()) else n for h in reversed(halves) if h != t]
             assert calls == expected, halves
             assert sweep.table == table
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_a_half_with_a_carried_quarter_transforms_only_its_other_half(self, monkeypatch, n):
-        # after t, a half whose left or right half is one of t's halves joins
-        # that quarter's spectrum, kept in slot 0, to a transform of its other
-        # half, on n - 1 variables; r is none of t's halves, so each such half
-        # shares exactly one of its halves with t
+        # after t, a half beside it whose first half is t's second half (down)
+        # or whose second half is t's first half (up) is derived from t's
+        # joined spectrum, and only its other half r, on n - 1 variables, is
+        # transformed.  A half that holds one of t's halves in the other place
+        # is transformed whole, and so is the left half of a table that has no
+        # half equal to the carried table; r is tied to none of t's halves
         rng = np.random.default_rng(n)
         t = random_table(n, rng)
         while len(set(t.halves())) < 2:
             t = random_table(n, rng)
-        kept = t.halves()
-        r = draw_other(n - 1, rng, kept)
-        quarters = [concat(kept[0], r), concat(r, kept[0]), concat(kept[1], r), concat(r, kept[1])]
-        fresh = {h: walsh_transform(h).values for h in [*quarters, t, concat(r, r)]}
+        k0, k1 = t.halves()
+        r = unrelated(n - 1, rng, k0, k1)
+        down, up = concat(k1, r), concat(r, k0)
+        crossed = [concat(k0, r), concat(r, k1)]
+        fresh = {h: walsh_transform(h).values for h in (t, down, up, *crossed)}
+        cases = [((t, h), [n - 1]) for h in (down, up)] + [((h, t), [n - 1]) for h in (down, up)]
+        cases += [((t, h), [n]) for h in crossed] + [((h, t), [n]) for h in crossed]
+        # no half is t: up is derived from down, and then k0 from r, unrelated
+        cases += [((down, up), [n, n - 1])]
         calls = count_transforms(monkeypatch)
-        # in slot 0 and in slot 1, beside each other kind of half
-        for halves in (p for p in itertools.product(fresh, repeat=2) if set(p) & set(quarters)):
+        for halves, expected in cases:
             sweep = SpectrumSweep(n + 1)
-            sweep.half_spectra(t, *kept)
+            sweep.half_spectra(t, *t.halves())
             calls.clear()
             table = concat(*halves)
             spectra = sweep.half_spectra(table, *halves)
             assert all(np.array_equal(s.values, fresh[h]) for s, h in zip(spectra, halves)), halves
             assert not any(s.values.flags.writeable for s in spectra)
-            # slot 1 is written first
-            assert calls == [n - 1 if h in quarters else n for h in reversed(halves) if h != t], halves
+            assert calls == expected, halves
             assert sweep.table == table
-        # the kept halves are the carried table's: once another table is
-        # carried, whose halves no half here shares, both halves are fresh
-        other = draw_other(n - 1, rng, (*kept, r))
-        for halves in itertools.product(quarters, repeat=2):
+        # the carried pair is read only for the carried table: once another
+        # table is carried and the buffer cleared, t is transformed whole
+        for h in (down, up):
             sweep = SpectrumSweep(n + 1)
-            sweep.half_spectra(t, *kept)
-            sweep.table = concat(other, other)
+            sweep.half_spectra(t, *t.halves())
+            sweep.table = concat(r, r)
             sweep.values[:] = 0
             calls.clear()
-            spectra = sweep.half_spectra(concat(*halves), *halves)
-            assert all(np.array_equal(s.values, fresh[h]) for s, h in zip(spectra, halves)), halves
-            assert calls == [n, n], halves
+            spectra = sweep.half_spectra(concat(t, h), t, h)
+            assert all(np.array_equal(s.values, fresh[x]) for s, x in zip(spectra, (t, h))), h
+            assert calls == [n, n - 1], h
 
 
 class TestNonlinearity:
