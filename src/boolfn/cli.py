@@ -81,10 +81,9 @@ def _table_memory(n: int):
         raise MemoryError(f"out of memory on a table of {n} variables (2**{n} points)") from exc
 
 
-def _parse_table(text: str, fmt: str, expect_n: int | None) -> TruthTable:
-    if fmt == "auto":
-        fmt = "hex" if text.startswith(("0x", "0X")) else "binary"
-    t = from_hex(text) if fmt == "hex" else from_bitstring(text)
+def _parse_table(text: str, expect_n: int | None) -> TruthTable:
+    """Text that starts with 0x or 0X is hex, any other text '0'/'1' text."""
+    t = from_hex(text) if text.startswith(("0x", "0X")) else from_bitstring(text)
     if expect_n is not None and t.n != expect_n:
         raise ValueError(f"table has {t.n} variables, expected {expect_n}")
     return t
@@ -102,7 +101,7 @@ def _write_joined(values: np.ndarray, sep: str) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     # "-" reads the table from stdin: past n = 18 its text is too long for argv
     text = sys.stdin.read().rstrip() if args.tt == "-" else args.tt
-    t = _parse_table(text, args.format, args.n)
+    t = _parse_table(text, args.n)
     with _table_memory(t.n):
         spectrum = walsh_transform(t)
         payload = analyze_table(t, spectrum).to_dict()
@@ -210,17 +209,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="weight, nonlinearity, degree, ANF of a table")
-    p.add_argument("--tt", required=True, help="truth table, '0'/'1' text or '0x...' hex; '-' reads it from stdin")
-    p.add_argument("--format", choices=("auto", "binary", "hex"), default="auto")
+    p.add_argument("--tt", required=True, help="truth table: hex after 0x or 0X, else '0'/'1' text; '-' reads stdin")
     p.add_argument("--n", type=int, default=None, help="expected variable count (checked)")
     p.add_argument("--text", action="store_true", help="plain text instead of JSON")
     p.add_argument("--spectrum", action="store_true", help="include the full Walsh spectrum")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("majority", help="construct the k-variable majority table")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=int, help="variable count; with neither mode flag, the table's bitstring is printed")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--table", action="store_true", help="print the bitstring (default)")
     mode.add_argument("--report", action="store_true", help="measured vs predicted JSON report")
     mode.add_argument("--runlength", action="store_true", help="run-length display, k <= 9")
     p.set_defaults(func=_cmd_majority)

@@ -218,10 +218,10 @@ def majority_report(k: int, sweep: SpectrumSweep | None = None) -> MajorityRepor
         raise ValueError(f"report range is 4..{VERIFY_MAX_K}, got {k}")
 
     m = majority(k)
-    a, b = m.halves()
     weight = m.weight()
     # N(m) from its halves' spectra: m's own 2**k-point spectrum is never built
-    w_a, w_b = (sweep or SpectrumSweep(k)).half_spectra(m, a, b)
+    w_a, w_b = (sweep or SpectrumSweep(k)).half_spectra(m)
+    a, b = m.halves()  # split after the call, so the sweep's halves are gone by now
     measured = concat_nonlinearity(w_a, w_b)
     predicted = predicted_nonlinearity(k)
 

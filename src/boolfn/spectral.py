@@ -23,19 +23,19 @@ runs the remaining passes down its columns in int32: it copies a strip
 of columns into the buffer, transforms it there and writes it back.
 The transform can write into a caller's int32 array instead of a new one.
 A SpectrumSweep owns one such array for a run of tables, each a half of
-the next: it writes the spectra of a table's two halves side by side and
-keeps the table, and when a half of the next table equals it, the
-transform's last pass alone joins the kept pair into that half's
-spectrum, W(0||w) = W_a(w) + W_b(w) and W(1||w) = W_a(w) - W_b(w).  The
-other half's spectrum is derived from that one's by the same relation
-read backwards: half the sum of a spectrum's halves is its first half's
-spectrum, half their difference its second half's.  So when the other
-half's first half is the known half's second half, or its second half the
-known half's first, that quarter's spectrum is read off, the rest is
-derived from it one level down, and one pass joins the two.  Threshold
-tables chain this way down to one variable, T(m, s) being
-T(m-1, s) || T(m-1, s-1), so a run of majority tables transforms only a
-table on one variable per table.
+the next: it splits each table it is given, writes the spectra of the
+two halves side by side and keeps the table, and when a half of the next
+table equals it, the transform's last pass alone joins the kept pair
+into that half's spectrum, W(0||w) = W_a(w) + W_b(w) and
+W(1||w) = W_a(w) - W_b(w).  The other half's spectrum is derived from
+that one's by the same relation read backwards: half the sum of a
+spectrum's halves is its first half's spectrum, half their difference
+its second half's.  So when the other half's first half is the known
+half's second half, or its second half the known half's first, that
+quarter's spectrum is read off, the rest is derived from it one level
+down, and one pass joins the two.  Threshold tables chain this way down
+to one variable, T(m, s) being T(m-1, s) || T(m-1, s-1), so a run of
+majority tables transforms only a table on one variable per table.
 Nonlinearity comes out of the spectrum as 2**(n-1) - max|W|/2.
 One grouped walk takes every peak: the largest |W| of one spectrum, or
 for two spectra the largest |W| of each and of their sum, read one group
@@ -242,13 +242,14 @@ def _derive(t: TruthTable, u: TruthTable, w_u: np.ndarray, out: np.ndarray) -> N
     is u's second half, W_x is half the difference, and t's second half is
     derived from x.  Up: if t's second half y is u's first half, W_y is half
     the sum, and x is derived from y.  One butterfly pass at stride h then
-    joins the two.  Both relations are checked on packed bits; where
-    neither holds, or n <= 1, t is transformed afresh."""
+    joins the two.  Each half of t is checked against u's other half as
+    packed bits, with no table built for u's halves; where neither relation
+    holds, or n <= 1, t is transformed afresh."""
     if t.n > 1:
         h = t.size // 2
-        parts, others, slots = t.halves(), u.halves(), out.reshape(2, h)
-        for j, combine in ((0, np.subtract), (1, np.add)):  # down, then up
-            if parts[j] == others[1 - j]:
+        parts, slots = t.halves(), out.reshape(2, h)
+        for j, combine, other in ((0, np.subtract, u.bits >> h), (1, np.add, u.bits & (1 << h) - 1)):  # down, then up
+            if parts[j].bits == other:
                 combine(w_u[:h], w_u[h:], out=slots[j])
                 slots[j] >>= 1
                 _derive(parts[1 - j], parts[j], slots[j], slots[1 - j])
@@ -268,29 +269,27 @@ class SpectrumSweep:
         self.values = np.empty(1 << k_max, dtype=np.int32)  # a page is touched when first written
         self.table: TruthTable | None = None
 
-    def half_spectra(self, t: TruthTable, a: TruthTable, b: TruthTable) -> list[WalshSpectrum]:
-        """The spectra of t's two halves a and b, written into slots 0 and 1,
-        the first and second half of the buffer's first t.size entries.
+    def half_spectra(self, t: TruthTable) -> list[WalshSpectrum]:
+        """The spectra of t's two halves, written into slots 0 and 1, the
+        first and second half of the buffer's first t.size entries.
 
         The carried pair fills slot 0, so a half equal to the carried table
         gets its spectrum by the transform's last pass over that pair, in
-        place for slot 0 or into slot 1; with no such half, a is transformed
-        afresh.  The other half's spectrum is then derived from that one's
-        (see _derive), which transforms afresh where no relation holds.
-        The joins are exact in int32: |W_a| + |W_b| <= 2**(k_max-1).
-        Tables a and b that are not t's halves are a ValueError, raised
-        before the buffer or the carried table changes."""
+        place for slot 0 or into slot 1; with no such half, the first half
+        is transformed afresh.  The other half's spectrum is then derived
+        from that one's (see _derive), which transforms afresh where no
+        relation holds.  The joins are exact in int32:
+        |W_a| + |W_b| <= 2**(k_max-1).  A table past the buffer, or one on
+        zero variables, which has no halves, is a ValueError, raised before
+        the buffer or the carried table changes."""
         if t.size > self.values.size:
             raise ValueError(f"sweep buffer holds {self.values.size} points, a table on {t.n} variables needs {t.size}")
-        # compared as packed bits: the caller has split t already
-        if not a.n == b.n == t.n - 1 or a.bits | b.bits << a.size != t.bits:
-            raise ValueError(f"the tables given are not the two halves of a table on {t.n} variables")
+        halves = t.halves()
         slots = self.values[: t.size].reshape(2, -1)
         carried, self.table = self.table, None  # the slots are about to change
-        halves = (a, b)
-        i = int(a != carried and b == carried)  # the half filled first
+        i = int(halves[0] != carried and halves[1] == carried)  # the half filled first
         if halves[i] != carried:
-            walsh_transform(a, out=slots[0])
+            walsh_transform(halves[0], out=slots[0])
         else:  # slot 0 holds the carried pair
             left, right = slots[0].reshape(2, -1)
             if i:

@@ -50,6 +50,8 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--tt", "0x0117177f", "--n", "5")
         assert code == 0
         assert json.loads(out)["weight"] == 16
+        # the prefix alone makes the text hex, in either case
+        assert run(capsys, "analyze", "--tt", "0X0117177F", "--n", "5") == (code, out, "")
 
     @pytest.mark.parametrize("tt, flags", [(MAJ5, []), ("0x0117177f", ["--n", "5", "--text"])])
     def test_table_from_stdin(self, capsys, monkeypatch, tt, flags):
@@ -67,11 +69,6 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--tt", "0120")
         assert code == 2
         assert "position 2" in err
-
-    def test_explicit_format_overrides_sniffing(self, capsys):
-        code, _, err = run(capsys, "analyze", "--tt", "0x16", "--format", "binary")
-        assert code == 2
-        assert "invalid character" in err
 
     def test_text_mode(self, capsys):
         code, out, _ = run(capsys, "analyze", "--tt", "00010011", "--text")
@@ -287,9 +284,15 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_unknown_flag_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--tt", "0110", "--bogus"])
-        assert exc.value.code == 2
+        # --format and majority --table are not flags: the 0x/0X prefix picks the codec, a bitstring is the default
+        for argv in (
+            ["analyze", "--tt", "0110", "--bogus"],
+            ["analyze", "--tt", "0x16", "--format", "hex"],
+            ["majority", "5", "--table"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
 
     # the parser is built once per process; a call after another must read
     # its arguments as a first call does, with nothing left from the last one

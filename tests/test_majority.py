@@ -351,19 +351,18 @@ class TestSweepCarry:
             assert majority_report(k, sweep).to_dict() == expected, k
             assert calls == [k - 1, 1], k
 
-    @pytest.mark.parametrize("wrong", ["random", "swapped"])
-    def test_tables_that_are_not_the_halves_are_refused(self, rng, wrong):
-        # a refused call changes neither the carried table nor the buffer, so
-        # the next table's carried half still gets the carried spectrum
+    @pytest.mark.parametrize("refused", [majority(6), TruthTable(0, 1)], ids=["past-the-buffer", "zero-variables"])
+    def test_a_refused_table_changes_neither_the_carried_table_nor_the_buffer(self, refused):
+        # so the next table's carried half still gets the carried spectrum
         m4, m5 = majority(4), majority(5)
         sweep = SpectrumSweep(5)
-        a, b = m4.halves()
-        sweep.half_spectra(m4, a, b)
-        x, y = (TruthTable(3, int(v)) for v in rng.integers(256, size=2)) if wrong == "random" else (b, a)
-        with pytest.raises(ValueError, match="not the two halves of a table on 4 variables"):
-            sweep.half_spectra(m4, x, y)
+        sweep.half_spectra(m4)
+        held = sweep.values.copy()
+        with pytest.raises(ValueError, match="sweep buffer holds 32 points|zero variables"):
+            sweep.half_spectra(refused)
         assert sweep.table == m4
-        carried = sweep.half_spectra(m5, *m5.halves())[1]
+        assert np.array_equal(sweep.values, held)
+        carried = sweep.half_spectra(m5)[1]
         assert np.array_equal(carried.values, walsh_transform(m4).values)
 
     def test_the_buffer_must_hold_the_report(self):

@@ -390,10 +390,10 @@ class TestSpectrumSweep:
         calls = count_transforms(monkeypatch)
         for halves, expected in [((t, u), [n]), ((u, t), [n]), ((u, u), [n, n]), ((t, t), [n])]:
             sweep = SpectrumSweep(n + 1)
-            sweep.half_spectra(t, *t.halves())
+            sweep.half_spectra(t)
             calls.clear()
             table = concat(*halves)
-            spectra = sweep.half_spectra(table, *halves)
+            spectra = sweep.half_spectra(table)
             assert all(np.array_equal(s.values, fresh[h]) for s, h in zip(spectra, halves)), halves
             assert not any(s.values.flags.writeable for s in spectra)
             assert calls == expected, halves
@@ -423,10 +423,10 @@ class TestSpectrumSweep:
         calls = count_transforms(monkeypatch)
         for halves, expected in cases:
             sweep = SpectrumSweep(n + 1)
-            sweep.half_spectra(t, *t.halves())
+            sweep.half_spectra(t)
             calls.clear()
             table = concat(*halves)
-            spectra = sweep.half_spectra(table, *halves)
+            spectra = sweep.half_spectra(table)
             assert all(np.array_equal(s.values, fresh[h]) for s, h in zip(spectra, halves)), halves
             assert not any(s.values.flags.writeable for s in spectra)
             assert calls == expected, halves
@@ -435,11 +435,11 @@ class TestSpectrumSweep:
         # table is carried and the buffer cleared, t is transformed whole
         for h in (down, up):
             sweep = SpectrumSweep(n + 1)
-            sweep.half_spectra(t, *t.halves())
+            sweep.half_spectra(t)
             sweep.table = concat(r, r)
             sweep.values[:] = 0
             calls.clear()
-            spectra = sweep.half_spectra(concat(t, h), t, h)
+            spectra = sweep.half_spectra(concat(t, h))
             assert all(np.array_equal(s.values, fresh[x]) for s, x in zip(spectra, (t, h))), h
             assert calls == [n, n - 1], h
 

@@ -139,6 +139,8 @@ class TestCodecs:
         assert from_bitstring("00010110").to_hex() == "0x16"
         for d in "0123456789abcdef":
             assert from_hex("0x" + d) == from_bitstring(format(int(d, 16), "04b"))
+        # the prefix and the digits may be either case
+        assert from_hex("0X0117177F") == from_hex("0x0117177f")
 
     def test_hex_needs_four_bits(self):
         with pytest.raises(ValueError):
