@@ -23,29 +23,32 @@ runs the remaining passes down its columns in int32: it copies a strip
 of columns into the buffer, transforms it there and writes it back.
 The transform can write into a caller's int32 array instead of a new one.
 A SpectrumSweep owns one such array for a run of tables, each a half of
-the next: it splits each table it is given, writes the spectra of the
-two halves side by side and keeps the table, and when a half of the next
-table equals it, the transform's last pass alone joins the kept pair
-into that half's spectrum, W(0||w) = W_a(w) + W_b(w) and
-W(1||w) = W_a(w) - W_b(w).  The other half's spectrum is derived from
-that one's by the same relation read backwards: half the sum of a
-spectrum's halves is its first half's spectrum, half their difference
-its second half's.  So when the other half's first half is the known
-half's second half, or its second half the known half's first, that
-quarter's spectrum is read off, the rest is derived from it one level
-down, and one pass joins the two.  Threshold tables chain this way down
-to one variable, T(m, s) being T(m-1, s) || T(m-1, s-1), so a run of
+the next, and keeps the last table and its halves' spectra, side by side.
+The last pass of a transform joins the spectra of a table's halves,
+W(0||w) = W_a(w) + W_b(w) and W(1||w) = W_a(w) - W_b(w); read backwards,
+half the sum of a spectrum's halves is its first half's spectrum and half
+their difference its second half's.  For a table t = a || b the sweep
+gathers the spectra of the four quarters a0, a1, b0, b1 first and joins
+them second.  A half equal to the kept table has its quarters' spectra
+kept already; a quarter equal to one held shares its spectrum; and when a
+quarter's first half is a held neighbour's second half, or its second
+half the neighbour's first, that half's spectrum is read off the
+neighbour's, the rest is derived from it one level down, and one join
+writes the quarter's.  One pass then joins the four into a's and b's.
+Threshold tables chain this way down to one variable, T(m, s) being
+T(m-1, s) || T(m-1, s-1), so t's middle quarters are equal, and a run of
 majority tables transforms only a table on one variable per table.
+The joins, the derive steps and the |W| walk each run over the spectra one
+chunk of 2**16 points at a time, so each chunk stays in cache.
 Nonlinearity comes out of the spectrum as 2**(n-1) - max|W|/2.
-One grouped walk takes every peak: the largest |W| of one spectrum, or
-for two spectra the largest |W| of each and of their sum, read one group
-at a time into reused buffers of at most 2**17 int32, with a running
-(peak, index) pair per walk that keeps the first group's index on ties,
-so no full-size |W| copy is made.  max|W| is that walk over one
-spectrum, and the nonlinearity of a concatenation is that walk over the
-spectra of its two halves, whose sum and difference are its own
-spectrum; the halves' own peaks come along and are cached in their
-spectra, so neither is walked again.  An independent brute-force path
+One chunked walk takes every peak: the largest |W| of one spectrum, or
+for two spectra the largest |W| of each and of their sum, read into
+reused buffers, with a running (peak, index) pair per walk that keeps the
+first chunk's index on ties, so no full-size |W| copy is made.  max|W| is
+that walk over one spectrum, and the nonlinearity of a concatenation is
+that walk over the spectra of its two halves, whose sum and difference
+are its own spectrum; the halves' own peaks come along and are cached in
+their spectra, so neither is walked again.  An independent brute-force path
 measures the minimum distance over all affine tables directly, with XOR,
 popcount and sums, in two levels: it popcounts each block of 64 * 2**r
 points against every linear table on the low 6 + r index bits, then
@@ -58,7 +61,7 @@ butterfly is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -90,13 +93,16 @@ _BYTE_SPECTRA = tuple(_byte_spectra(1 << n) for n in range(4))
 _WORD_PATTERNS = tuple(_word_patterns(1 << n) for n in range(7))
 # The passes below _GROUP_POINTS run one group at a time, and the strip
 # routine moves a group's worth of points per strip for the passes above
-# the group; the grouped |W| walk reads the spectra in chunks of the same
-# size.  A group (512 KiB of int32) stays in a 2 MiB per-core L2 cache.
+# the group.  A group (512 KiB of int32) stays in a 2 MiB per-core L2 cache.
 # Within a group, seen as rows of _ROW_POINTS, the passes below _ROW_POINTS
 # run byte-major, and the passes below _NARROW_POINTS run in int16.
 _GROUP_POINTS = 1 << 17
 _ROW_POINTS = 1 << 8
 _NARROW_POINTS = 1 << 14
+# The passes over whole spectra (the sweep's joins and derive steps, and the
+# |W| walk) take _CHUNK_POINTS of each array at a time: with up to four
+# arrays a chunk is at most 1 MiB of int32, so it stays in L2.
+_CHUNK_POINTS = 1 << 16
 
 
 def _butterfly(block: np.ndarray, h: int) -> None:
@@ -130,28 +136,54 @@ def _column_passes(grid: np.ndarray, buffer: np.ndarray) -> None:
         np.copyto(block, strip)
 
 
+@cache  # per size, so a walk over a small table builds no slices per call
+def _chunks(size: int) -> tuple[slice, ...]:
+    """Slices of _CHUNK_POINTS points that cover 0..size-1 in order."""
+    return tuple(slice(start, start + _CHUNK_POINTS) for start in range(0, size, _CHUNK_POINTS))
+
+
 def _grouped_peaks(*parts: np.ndarray) -> list[tuple[int, int]]:
     """max over w of |part[w]|, and the smallest w attaining it, for each of
     one or two parts; for two, then the same for |part0[w]| + |part1[w]|.
 
-    Each walk is taken one group at a time in a reused int32 buffer, so no
+    Each walk is taken one chunk at a time in a reused int32 buffer, so no
     full-size copy is made; its running (peak, index) pair moves only on a
-    strictly larger value, so on a tie the earlier group keeps the index."""
-    size = parts[0].size
-    group = min(size, _GROUP_POINTS)
+    strictly larger value, so on a tie the earlier chunk keeps the index."""
     peaks = [(-1, -1)] * (2 * len(parts) - 1)
-    buffers = [None] * len(peaks)  # the first group allocates them, the rest reuse them
-    for start in range(0, size, group):
+    buffers = [None] * len(peaks)  # the first chunk allocates them, the rest reuse them
+    for chunk in _chunks(parts[0].size):
         for p, part in enumerate(parts):
-            buffers[p] = np.abs(part[start : start + group], out=buffers[p])
+            buffers[p] = np.abs(part[chunk], out=buffers[p])
         if len(parts) == 2:
             buffers[2] = np.add(buffers[0], buffers[1], out=buffers[2])
         for p, values in enumerate(buffers):
             i = int(values.argmax())
             top = int(values[i])
             if top > peaks[p][0]:
-                peaks[p] = (top, start + i)
+                peaks[p] = (top, chunk.start + i)
     return peaks
+
+
+def _join(out: np.ndarray, pairs: list[tuple[int, int]]) -> None:
+    """The transform's last pass over spectra held in rows of out, seen as
+    2 * len(pairs) equal rows: for the p-th pair (i, j), row i + row j is
+    written into row 2p and row i - row j into row 2p + 1.
+
+    It runs one chunk of _CHUNK_POINTS at a time, which is safe in place
+    because chunk c of a row overlaps only chunk c of another.  The rows
+    are written last to first, so a row that a row below it reads is
+    copied to scratch before any row's chunk c is written."""
+    rows = out.reshape(2 * len(pairs), -1)
+    copied = [r for r in range(len(rows)) if any(r in pairs[q // 2] for q in range(r))]
+    scratch = np.empty((len(copied), min(rows.shape[1], _CHUNK_POINTS)), dtype=np.int32)
+    for chunk in _chunks(rows.shape[1]):
+        sources = [row[chunk] for row in rows]
+        for r, copy in zip(copied, scratch):
+            np.copyto(copy, sources[r])
+            sources[r] = copy
+        for r in reversed(range(len(rows))):
+            i, j = pairs[r // 2]
+            (np.subtract if r % 2 else np.add)(sources[i], sources[j], out=rows[r][chunk])
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,19 +273,20 @@ def _derive(t: TruthTable, u: TruthTable, w_u: np.ndarray, out: np.ndarray) -> N
     |W_u[:h]| + |W_u[h:]| <= 2**(n+1) <= 2**30.  Down: if t's first half x
     is u's second half, W_x is half the difference, and t's second half is
     derived from x.  Up: if t's second half y is u's first half, W_y is half
-    the sum, and x is derived from y.  One butterfly pass at stride h then
-    joins the two.  Each half of t is checked against u's other half as
-    packed bits, with no table built for u's halves; where neither relation
-    holds, or n <= 1, t is transformed afresh."""
+    the sum, and x is derived from y.  One join (see _join) then writes
+    t's spectrum from the two.  The halving and the join each run one chunk
+    of _CHUNK_POINTS at a time.  Each half of t is checked against u's
+    other half as packed bits, with no table built for u's halves; where
+    neither relation holds, or n <= 1, t is transformed afresh."""
     if t.n > 1:
         h = t.size // 2
         parts, slots = t.halves(), out.reshape(2, h)
         for j, combine, other in ((0, np.subtract, u.bits >> h), (1, np.add, u.bits & (1 << h) - 1)):  # down, then up
             if parts[j].bits == other:
-                combine(w_u[:h], w_u[h:], out=slots[j])
-                slots[j] >>= 1
+                for chunk in _chunks(h):
+                    np.right_shift(combine(w_u[:h][chunk], w_u[h:][chunk], out=slots[j][chunk]), 1, out=slots[j][chunk])
                 _derive(parts[1 - j], parts[j], slots[j], slots[1 - j])
-                _butterfly(out, h)
+                _join(out, [(0, 1)])
                 return
     walsh_transform(t, out=out)
 
@@ -270,34 +303,49 @@ class SpectrumSweep:
         self.table: TruthTable | None = None
 
     def half_spectra(self, t: TruthTable) -> list[WalshSpectrum]:
-        """The spectra of t's two halves, written into slots 0 and 1, the
-        first and second half of the buffer's first t.size entries.
+        """The spectra of t's two halves a and b, written into slots 0 and 1,
+        the first and second half of the buffer's first t.size entries.
 
-        The carried pair fills slot 0, so a half equal to the carried table
-        gets its spectrum by the transform's last pass over that pair, in
-        place for slot 0 or into slot 1; with no such half, the first half
-        is transformed afresh.  The other half's spectrum is then derived
-        from that one's (see _derive), which transforms afresh where no
-        relation holds.  The joins are exact in int32:
-        |W_a| + |W_b| <= 2**(k_max-1).  A table past the buffer, or one on
-        zero variables, which has no halves, is a ValueError, raised before
-        the buffer or the carried table changes."""
+        The four quarter spectra, of a0, a1, b0 and b1, are gathered first,
+        each into one of the four quarter places of those entries.  If a
+        half equals the carried table, its quarters' spectra are the
+        carried pair, still in places 0 and 1; with no such half, a0 is
+        transformed afresh into place 0.  Outward from there, a quarter
+        equal to one already held shares its spectrum, and each other one
+        is derived (see _derive, which transforms afresh where no relation
+        holds) from its neighbour on the side already gathered, into the
+        next free place.  Then one chunked join (see _join) writes
+        W_a = [W_a0 + W_a1 | W_a0 - W_a1] into slot 0 and W_b likewise into
+        slot 1, exact in int32: |W_a0| + |W_a1| <= 2**(k_max-1).  A table on
+        one variable, whose halves have no quarters, has each half
+        transformed afresh.  A table past the buffer, or one on zero
+        variables, which has no halves, is a ValueError, raised before the
+        buffer or the carried table changes."""
         if t.size > self.values.size:
             raise ValueError(f"sweep buffer holds {self.values.size} points, a table on {t.n} variables needs {t.size}")
         halves = t.halves()
-        slots = self.values[: t.size].reshape(2, -1)
+        front = self.values[: t.size]
+        slots = front.reshape(2, -1)
         carried, self.table = self.table, None  # the slots are about to change
-        i = int(halves[0] != carried and halves[1] == carried)  # the half filled first
-        if halves[i] != carried:
-            walsh_transform(halves[0], out=slots[0])
-        else:  # slot 0 holds the carried pair
-            left, right = slots[0].reshape(2, -1)
-            if i:
-                np.add(left, right, out=slots[1][: left.size])
-                np.subtract(left, right, out=slots[1][left.size :])
+        if t.n == 1:  # the halves, on zero variables, have no quarters
+            for half, slot in zip(halves, slots):
+                walsh_transform(half, out=slot)
+        else:
+            quarters = [q for half in halves for q in half.halves()]
+            places = front.reshape(4, -1)
+            if carried in halves:
+                seed = 2 * halves.index(carried)
+                held = quarters[seed : seed + 2]  # the quarter whose spectrum each place holds
             else:
-                _butterfly(slots[0], left.size)
-        _derive(halves[1 - i], halves[i], slots[i], slots[1 - i])
+                seed = 0
+                walsh_transform(quarters[0], out=places[0])
+                held = quarters[:1]
+            for j in sorted(range(4), key=lambda j: abs(j - seed)):  # each after its neighbour toward the seed
+                if quarters[j] not in held:
+                    u = quarters[j - 1 if j > seed else j + 1]
+                    _derive(quarters[j], u, places[held.index(u)], places[len(held)])
+                    held.append(quarters[j])
+            _join(front, [(held.index(quarters[j]), held.index(quarters[j + 1])) for j in (0, 2)])
         self.table = t
         return [_read_only(half.n, slot) for half, slot in zip(halves, slots)]
 

@@ -36,8 +36,12 @@ import numpy as np
 _DEFAULT_MAX_VARS = 30
 _MAX_VARS_ENV = "BOOLFN_MAX_N"
 
-# per-byte bit reversal table, shared by reverse() and the hex codec
+# per-byte bit reversal table for the hex codec
 _BYTE_REVERSE = bytes(int(format(i, "08b")[::-1], 2) for i in range(256))
+# (shift, mask) of the three steps that reverse each byte of a 64-bit word:
+# swap its nibbles, then the bit pairs in each nibble, then the bits in each
+# pair; a byte's mask, repeated in all eight bytes, selects the low parts
+_BIT_SWAPS = [(np.uint64(s), np.uint64(m * 0x0101010101010101)) for s, m in ((4, 0x0F), (2, 0x33), (1, 0x55))]
 _NON_BINARY = re.compile(r"[^01]")
 _NON_HEX = re.compile(r"[^0-9a-fA-F]")
 
@@ -76,6 +80,21 @@ def pack_bits(bits: int, size: int) -> bytes:
     """Bits 0..size-1 of a nonnegative int as bytes, bit i in byte i // 8 at
     bit i % 8; the one packed-int-to-bytes conversion."""
     return bits.to_bytes((size + 7) // 8, "little")
+
+
+def _reverse_byte_bits(words: np.ndarray) -> None:
+    """Reverse the bits within each byte of a uint64 array, in place.
+
+    Its scratch array is freed on return, before the caller builds an int
+    of the same size, which can then reuse that memory instead of fresh
+    pages."""
+    low = np.empty_like(words)
+    for shift, mask in _BIT_SWAPS:
+        np.bitwise_and(words, mask, out=low)
+        low <<= shift
+        words >>= shift
+        words &= mask
+        words |= low
 
 
 def unpack_bits(bits: int, size: int) -> np.ndarray:
@@ -123,10 +142,11 @@ class TruthTable:
     def reverse(self) -> TruthTable:
         """Table read back-to-front: bit i becomes bit 2**n - 1 - i."""
         size = self.size
-        raw = pack_bits(self.bits, size)
-        # a table under 8 bits lands in the top bits of its byte
-        rev = int.from_bytes(raw[::-1].translate(_BYTE_REVERSE), "little") >> (-size % 8)
-        return TruthTable(self.n, rev)
+        # the words' order and their byte order reversed: the bytes back to front
+        words = np.frombuffer(pack_bits(self.bits, max(size, 64)), dtype="<u8")[::-1].byteswap()
+        _reverse_byte_bits(words)
+        # a table under 64 bits lands in the top bits of its word
+        return TruthTable(self.n, int.from_bytes(words.tobytes(), "little") >> (-size % 64))
 
     def halves(self) -> tuple[TruthTable, TruthTable]:
         """Split into (left, right): entries 0..2**(n-1)-1 and the rest."""

@@ -276,27 +276,29 @@ class TestReports:
         outcome = {r.name: r.passed for r in majority_report(9).identities}
         assert not outcome["odd_from_even_decomposition"]
         assert not outcome["left_half_weight_equals_nonlinearity"]
-        # the left half, the right half derived from it down to one variable,
-        # then the decomposition's fallback walsh_transform(prev)
-        assert calls == [8, 1, 8]
+        # the first quarter, the second and fourth each derived down to one
+        # variable, the third shared with the second, then the
+        # decomposition's fallback walsh_transform(prev)
+        assert calls == [7, 1, 1, 8]
 
     def test_one_transform_per_report(self, monkeypatch):
         # N(m) comes from the halves' spectra, and from k = 5 on the half that
         # is majority(k - 1) is carried.  The other half is a threshold table
         # one step from it, so its spectrum is derived from the carried half's
         # one level at a time, down to a table on one variable, which alone is
-        # transformed; k = 4 transforms its left half whole
+        # transformed; k = 4 carries nothing, as a standalone report
         calls = count_transforms(monkeypatch)
         reports = verify_identities(12)
         assert all(rep.all_passed() for rep in reports)
-        assert calls == [3, 1] + [1] * 8  # k = 4, then k = 5..12
+        assert calls == [2, 1, 1] + [1] * 8  # k = 4, then k = 5..12
 
-    def test_two_transforms_per_standalone_report(self, monkeypatch):
+    def test_three_transforms_per_standalone_report(self, monkeypatch):
         calls = count_transforms(monkeypatch)
         reports = [majority_report(k) for k in range(4, 13)]
         assert all(rep.all_passed() for rep in reports)
-        # the left half whole, then the right half derived down to one variable
-        assert calls == [n for k in range(4, 13) for n in (k - 1, 1)]
+        # the first quarter whole, then the second and fourth quarters each
+        # derived down to one variable; the third is the second
+        assert calls == [n for k in range(4, 13) for n in (k - 2, 1, 1)]
 
     @pytest.mark.parametrize("k", range(16, 21))
     def test_nonlinearity_equals_direct_transform(self, k):
@@ -339,7 +341,7 @@ class TestSweepCarry:
 
     def test_a_carried_table_that_differs_falls_back_to_fresh_transforms(self, monkeypatch):
         # whatever the buffer holds, a carried table unequal to majority(k - 1)
-        # is not read: the left half is transformed whole, as in a standalone report
+        # is not read: the first quarter is transformed whole, as in a standalone report
         calls = count_transforms(monkeypatch)
         for k in (8, 9):
             expected = majority_report(k).to_dict()
@@ -349,7 +351,7 @@ class TestSweepCarry:
             sweep.values[:] = 0
             calls.clear()
             assert majority_report(k, sweep).to_dict() == expected, k
-            assert calls == [k - 1, 1], k
+            assert calls == [k - 2, 1, 1], k
 
     @pytest.mark.parametrize("refused", [majority(6), TruthTable(0, 1)], ids=["past-the-buffer", "zero-variables"])
     def test_a_refused_table_changes_neither_the_carried_table_nor_the_buffer(self, refused):

@@ -28,7 +28,7 @@ from boolfn import (
     threshold,
     walsh_transform,
 )
-from boolfn.spectral import _derive
+from boolfn.spectral import _CHUNK_POINTS, _derive, _join
 from boolfn.truthtable import _DEFAULT_MAX_VARS
 
 from conftest import count_transforms, truth_tables
@@ -190,7 +190,16 @@ class TestWalshTransform:
 
 
 class TestGroupedPeak:
-    """Hand-made values at n = 18 and 19: two and four 2**17-point groups."""
+    """Hand-made values, most at n = 18 and 19: four and eight 2**16-point chunks."""
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 19])
+    def test_tie_on_both_sides_of_a_chunk_edge(self, n):
+        # below one chunk, one chunk, two and eight: a tie keeps the smaller index
+        size = 1 << n
+        for first, second in [(0, size - 1), (size // 2 - 1, size // 2), (_CHUNK_POINTS - 1, _CHUNK_POINTS)]:
+            if second < size:
+                spectrum = handmade_spectrum(n, {first: -7, second: 7})
+                assert (spectrum.max_abs(), spectrum.max_abs_index()) == (7, first), (first, second)
 
     @pytest.mark.parametrize("n", [18, 19])
     def test_peak_in_a_later_group(self, n):
@@ -222,7 +231,7 @@ class TestConcatNonlinearity:
         expected = walsh_transform(concat(a, b)).nonlinearity()
         assert concat_nonlinearity(walsh_transform(a), walsh_transform(b)) == expected
 
-    # one group, one group, two groups; the linear table's peak is its last index
+    # one chunk, two chunks, four chunks; the linear table's peak is its last index
     @pytest.mark.parametrize("n", [16, 17, 18])
     def test_random_tables(self, n):
         rng = np.random.default_rng(n)
@@ -234,8 +243,8 @@ class TestConcatNonlinearity:
 
     @pytest.mark.parametrize("n", [18, 19])
     def test_peak_sum_in_a_later_group(self, n):
-        # each half peaks in the first group; the largest |W_a| + |W_b| is in
-        # the last group, where neither half reaches its own max|W|
+        # each half peaks in the first chunk; the largest |W_a| + |W_b| is in
+        # the last chunk, where neither half reaches its own max|W|
         late = (1 << n) - 3
         left = handmade_spectrum(n, {5: 10, late: 6})
         right = handmade_spectrum(n, {7: -10, late: -6})
@@ -254,7 +263,7 @@ class TestConcatNonlinearity:
 
     @pytest.mark.parametrize("n", [18, 19])
     def test_the_walk_seeds_each_halfs_peak(self, n):
-        # each half's max|W| ties across two groups, and the largest
+        # each half's max|W| ties across two chunks, and the largest
         # |W_a| + |W_b| is at index 3, where neither half peaks
         left = handmade_spectrum(n, {3: 4, (1 << 17) + 4: -10, (1 << n) - 1: 10})
         right = handmade_spectrum(n, {1: -8, 3: 8, (1 << 17) + 9: 8})
@@ -274,6 +283,24 @@ class TestConcatNonlinearity:
         monkeypatch.setenv("BOOLFN_MAX_N", "3")
         with pytest.raises(ValueError):
             concat_nonlinearity(*halves)
+
+
+class TestJoin:
+    """_join(out, pairs) writes the last butterfly pass of each pair of rows of out, in place."""
+
+    # below one chunk, one chunk, several chunks
+    @pytest.mark.parametrize("points", [_CHUNK_POINTS // 4, _CHUNK_POINTS, 2 * _CHUNK_POINTS])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_every_pairing_of_rows(self, points, count):
+        # each input is any row of out, so it may be the output row itself,
+        # one written before it is read, or one read by both pairs
+        rows = 2 * count
+        start = np.random.default_rng(points + count).integers(-(1 << 20), 1 << 20, size=(rows, points), dtype=np.int32)
+        for pairs in itertools.product(itertools.product(range(rows), repeat=2), repeat=count):
+            out = start.copy()
+            _join(out.reshape(-1), list(pairs))
+            expected = [op(start[i], start[j]) for i, j in pairs for op in (np.add, np.subtract)]
+            assert np.array_equal(out, expected), pairs
 
 
 def unrelated(n: int, rng: np.random.Generator, *tables: TruthTable) -> TruthTable:
@@ -344,6 +371,14 @@ class TestDerive:
         u = random_table(8, rng)
         assert self.derived(count_transforms(monkeypatch), chain(u, steps, rng), u) == [1]
 
+    # t's halves below one chunk, one chunk, and four chunks
+    @pytest.mark.parametrize("n", [16, 17, 19])
+    @pytest.mark.parametrize("steps", ["d", "u", "du"])
+    def test_steps_across_chunks(self, monkeypatch, n, steps):
+        rng = np.random.default_rng(n)
+        u = random_table(n, rng)
+        assert self.derived(count_transforms(monkeypatch), chain(u, steps, rng), u) == [n - len(steps)]
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_neither_relation_transforms_afresh(self, monkeypatch, n):
         # u's halves in the wrong places, or in none, tie t to u by neither relation
@@ -371,77 +406,109 @@ class TestDerive:
             assert self.derived(calls, t, u) == [1]
 
 
+def quartered(q0: TruthTable, q1: TruthTable, q2: TruthTable, q3: TruthTable) -> TruthTable:
+    """The table whose four quarters are the tables given, in order."""
+    return concat(concat(q0, q1), concat(q2, q3))
+
+
+def unrelated_tables(count: int, n: int, rng: np.random.Generator) -> list[TruthTable]:
+    """count distinct tables on n variables, no two of them tied by a derive relation."""
+    tables: list[TruthTable] = []
+    for _ in range(count):
+        tables.append(unrelated(n, rng, *tables))
+    return tables
+
+
 class TestSpectrumSweep:
+    @staticmethod
+    def measured(calls: list[int], sweep: SpectrumSweep, table: TruthTable) -> list[int]:
+        """The variable counts transformed for table's half spectra, after
+        checking each against a fresh transform."""
+        calls.clear()
+        spectra = sweep.half_spectra(table)
+        for spectrum, half in zip(spectra, table.halves()):
+            assert np.array_equal(spectrum.values, walsh_transform(half).values), half
+            assert not spectrum.values.flags.writeable
+        assert sweep.table == table
+        return list(calls)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_a_half_equal_to_the_carried_table_is_joined(self, monkeypatch, n):
-        # after t, the half equal to t is joined from the carried pair and the
-        # other half derived from it.  u is tied to t by neither derive
-        # relation, nor are t's or u's own halves to each other, so each
-        # derivation transforms its table whole; concat(u, u) transforms its
-        # left half and derives its right half from that
-        rng = np.random.default_rng(n)
-        t = random_table(n, rng)
-        while n > 1 and len(set(t.halves())) < 2:
-            t = random_table(n, rng)
-        u = unrelated(n, rng, t)
-        while n > 1 and len(set(u.halves())) < 2:
-            u = unrelated(n, rng, t)
-        fresh = {t: walsh_transform(t).values, u: walsh_transform(u).values}
+        # after the carried table p || q, a half equal to it takes its
+        # quarters' spectra from the carried pair, and the join writes its
+        # spectrum.  The quarters p, q, r, s on n variables are tied by no
+        # derive relation, so each quarter that is neither carried nor shared
+        # is transformed whole
+        p, q, r, s = unrelated_tables(4, n, np.random.default_rng(n))
+        carried = concat(p, q)
+        cases = [
+            (quartered(p, q, q, r), [n]),  # carried first half, a middle quarter shared
+            (quartered(p, q, r, s), [n, n]),  # carried first half, no quarter shared
+            (quartered(r, p, p, q), [n]),  # carried second half, a middle quarter shared
+            (quartered(r, s, p, q), [n, n]),  # carried second half, no quarter shared
+            (quartered(p, q, p, q), []),  # both halves carried
+            (quartered(q, p, r, s), [n, n, n, n]),  # the carried quarters in other places
+        ]
         calls = count_transforms(monkeypatch)
-        for halves, expected in [((t, u), [n]), ((u, t), [n]), ((u, u), [n, n]), ((t, t), [n])]:
-            sweep = SpectrumSweep(n + 1)
-            sweep.half_spectra(t)
-            calls.clear()
-            table = concat(*halves)
-            spectra = sweep.half_spectra(table)
-            assert all(np.array_equal(s.values, fresh[h]) for s, h in zip(spectra, halves)), halves
-            assert not any(s.values.flags.writeable for s in spectra)
-            assert calls == expected, halves
-            assert sweep.table == table
+        for table, expected in cases:
+            sweep = SpectrumSweep(n + 2)
+            sweep.half_spectra(carried)
+            assert self.measured(calls, sweep, table) == expected, table
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_no_carried_half(self, monkeypatch, n):
+        # the first quarter is transformed, and each other one shared or
+        # gathered from its neighbour, here transformed as none is tied to it;
+        # a carried table that is no half is not read, whatever the buffer holds
+        p, q, r, s = unrelated_tables(4, n, np.random.default_rng(n))
+        cases = [
+            (quartered(p, q, q, r), [n, n, n]),
+            (quartered(p, q, r, s), [n, n, n, n]),
+            (quartered(p, p, p, p), [n]),
+        ]
+        calls = count_transforms(monkeypatch)
+        for table, expected in cases:
+            assert self.measured(calls, SpectrumSweep(n + 2), table) == expected, table
+            sweep = SpectrumSweep(n + 2)
+            sweep.half_spectra(concat(s, r))  # no half of any table here
+            sweep.values[:] = 0
+            assert self.measured(calls, sweep, table) == expected, table
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_a_half_with_a_carried_quarter_transforms_only_its_other_half(self, monkeypatch, n):
-        # after t, a half beside it whose first half is t's second half (down)
-        # or whose second half is t's first half (up) is derived from t's
-        # joined spectrum, and only its other half r, on n - 1 variables, is
-        # transformed.  A half that holds one of t's halves in the other place
-        # is transformed whole, and so is the left half of a table that has no
-        # half equal to the carried table; r is tied to none of t's halves
+        # after the carried table k0 || k1, on quarters of n variables, a
+        # quarter tied to its gathered neighbour is derived from it, and only
+        # its other half, on n - 1 variables, is transformed: b1 = k1_1 || x
+        # down from b0 = k1, or a0 = x || k1_0 up from a1 = k1.  x is neither
+        # half of k1 nor tied to either
         rng = np.random.default_rng(n)
-        t = random_table(n, rng)
-        while len(set(t.halves())) < 2:
-            t = random_table(n, rng)
-        k0, k1 = t.halves()
-        r = unrelated(n - 1, rng, k0, k1)
-        down, up = concat(k1, r), concat(r, k0)
-        crossed = [concat(k0, r), concat(r, k1)]
-        fresh = {h: walsh_transform(h).values for h in (t, down, up, *crossed)}
-        cases = [((t, h), [n - 1]) for h in (down, up)] + [((h, t), [n - 1]) for h in (down, up)]
-        cases += [((t, h), [n]) for h in crossed] + [((h, t), [n]) for h in crossed]
-        # no half is t: up is derived from down, and then k0 from r, unrelated
-        cases += [((down, up), [n, n - 1])]
+        k0, k1 = unrelated_tables(2, n, rng)
+        x = unrelated(n - 1, rng, *k1.halves())
+        down, up = concat(k1.halves()[1], x), concat(x, k1.halves()[0])
+        cases = [
+            (quartered(k0, k1, k1, down), [n - 1]),  # carried first half, down
+            (quartered(up, k1, k0, k1), [n - 1]),  # carried second half, up
+            (quartered(k0, k1, down, k0), [n - 1]),  # no middle quarter shared
+        ]
         calls = count_transforms(monkeypatch)
-        for halves, expected in cases:
-            sweep = SpectrumSweep(n + 1)
-            sweep.half_spectra(t)
-            calls.clear()
-            table = concat(*halves)
-            spectra = sweep.half_spectra(table)
-            assert all(np.array_equal(s.values, fresh[h]) for s, h in zip(spectra, halves)), halves
-            assert not any(s.values.flags.writeable for s in spectra)
-            assert calls == expected, halves
-            assert sweep.table == table
-        # the carried pair is read only for the carried table: once another
-        # table is carried and the buffer cleared, t is transformed whole
-        for h in (down, up):
-            sweep = SpectrumSweep(n + 1)
-            sweep.half_spectra(t)
-            sweep.table = concat(r, r)
-            sweep.values[:] = 0
-            calls.clear()
-            spectra = sweep.half_spectra(concat(t, h))
-            assert all(np.array_equal(s.values, fresh[x]) for s, x in zip(spectra, (t, h))), h
-            assert calls == [n, n - 1], h
+        for table, expected in cases:
+            sweep = SpectrumSweep(n + 2)
+            sweep.half_spectra(concat(k0, k1))
+            assert self.measured(calls, sweep, table) == expected, table
+
+    def test_tables_on_one_and_two_variables(self, monkeypatch):
+        # on one variable the halves have no quarters, and each is transformed;
+        # on two the quarters have no variables, and each distinct one that is
+        # not carried is transformed, as nothing is derived below two variables
+        calls = count_transforms(monkeypatch)
+        for t in (TruthTable(1, bits) for bits in range(4)):
+            assert self.measured(calls, SpectrumSweep(1), t) == [0, 0], t
+        for t, carried in itertools.product(*([TruthTable(n, bits) for bits in range(1 << (1 << n))] for n in (2, 1))):
+            sweep = SpectrumSweep(2)
+            sweep.half_spectra(carried)
+            quarters = {q for half in t.halves() for q in half.halves()}
+            held = set(carried.halves()) if carried in t.halves() else set()
+            assert self.measured(calls, sweep, t) == [0] * len(quarters - held), (t, carried)
 
 
 class TestNonlinearity:

@@ -96,9 +96,23 @@ class TestStructuralOps:
             assert r.bit(i) == t.bit(t.size - 1 - i)
 
     def test_reverse_crosses_byte_boundary(self):
-        # 16-entry table exercises the byte-translate path
+        # a 16-entry table: its bytes trade places and each is bit-reversed
         t = from_bitstring("0000000100010111")
         assert t.reverse().to_bitstring() == "1110100010000000"
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_reverse_every_small_table(self, n):
+        # every table under one 64-bit word, which reverse() pads to one
+        for bits in range(1 << (1 << n)):
+            t = TruthTable(n, bits)
+            assert t.reverse().to_bitstring() == t.to_bitstring()[::-1], t
+
+    @pytest.mark.parametrize("n", range(5, 21))
+    def test_reverse_random_tables(self, n):
+        # n = 5 is half a word, n = 6 one word, and from n = 7 on several
+        rng = np.random.default_rng(n)
+        for t in (random_table(n, rng), random_table(n, rng)):
+            assert t.reverse().to_bitstring() == t.to_bitstring()[::-1]
 
     @given(truth_tables(min_n=1))
     def test_halves_concat_round_trip(self, t):
