@@ -1,9 +1,9 @@
 """Exact spectral analysis of Boolean functions on packed truth tables.
 
-Truth tables live in arbitrary-precision ints (bit i = f(v_i), lexicographic
-point order), the Walsh transform runs as an integer butterfly, the algebraic
-normal form comes from a packed binary Mobius transform, and the majority
-family ships with closed-form predictions plus an identity checker.
+Truth tables live in packed bytes (bit i % 8 of byte i // 8 = f(v_i),
+lexicographic point order), the Walsh transform runs as an integer butterfly,
+the algebraic normal form comes from a packed binary Mobius transform, and the
+majority family ships with closed-form predictions plus an identity checker.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .truthtable import TruthTable, check_table, check_vars, unpack_bits
+from .truthtable import TruthTable, check_table, check_vars, pack_bits, unpack_bits
 
 
 def _low_mask(block: int, size: int) -> int:
@@ -128,7 +128,8 @@ class AnfTable:
         runs that hold any, in output order; and each such run's (first,
         past-last) positions in the cells, as a (2, runs) array."""
         grid = _grid(self.n)
-        bits = unpack_bits(self.coeffs, 1 << self.n).view(bool).reshape(-1, len(grid.columns))
+        size = 1 << self.n
+        bits = unpack_bits(pack_bits(self.coeffs, size), size).view(bool).reshape(-1, len(grid.columns))
         cells = np.flatnonzero(bits.take(grid.columns, axis=1))
         bounds = cells.searchsorted(grid.edges)
         live = (bounds[0] < bounds[1]).nonzero()[0]
@@ -138,7 +139,8 @@ class AnfTable:
 
     def monomials(self) -> list[int]:
         """Set coefficient indices, ascending."""
-        return np.flatnonzero(unpack_bits(self.coeffs, 1 << self.n).view(bool)).tolist()
+        size = 1 << self.n
+        return np.flatnonzero(unpack_bits(pack_bits(self.coeffs, size), size)).tolist()
 
     def degree(self) -> int:
         """Largest monomial size; 0 for the constants.  The runs are in

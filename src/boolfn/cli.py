@@ -54,15 +54,15 @@ def analyze_table(t: TruthTable, spectrum: WalshSpectrum | None = None) -> Analy
         spectrum = walsh_transform(t)
     check_same_vars(t.n, spectrum.n)
     anf = to_anf(t)
-    if t.n >= 2:
+    if t.n >= 2:  # the check takes the weight, so it is taken once
         check = check_weight_equals_nonlinearity(t, spectrum)
-        nl, verdict = check.nonlinearity, check.verdict
+        weight, nl, verdict = check.weight, check.nonlinearity, check.verdict
     else:
-        nl, verdict = (spectrum.nonlinearity() if t.n else None), "not-applicable"
+        weight, nl, verdict = t.weight(), (spectrum.nonlinearity() if t.n else None), "not-applicable"
     return AnalysisReport(
         n=t.n,
-        weight=t.weight(),
-        balanced=t.is_balanced(),
+        weight=weight,
+        balanced=2 * weight == t.size,
         nonlinearity=nl,
         degree=anf.degree(),
         max_abs_walsh=spectrum.max_abs(),

@@ -64,7 +64,7 @@ def threshold(n: int, t: int) -> TruthTable:
     width = min((size + 7) // 8, 256)  # bytes per block
     counts = np.bitwise_count(np.arange((size + 7) // 8 // width))  # of each block's index
     blocks = rows[np.bitwise_count(np.arange(width)) + np.arange(counts[-1] + 1)[:, None]]
-    return TruthTable(n, int.from_bytes(blocks.take(counts, axis=0).tobytes(), "little"))
+    return TruthTable.from_packed(n, blocks.take(counts, axis=0).tobytes())
 
 
 def _majority_threshold(k: int) -> int:
@@ -235,13 +235,14 @@ def majority_report(k: int, sweep: SpectrumSweep | None = None) -> MajorityRepor
         # the decomposition proves b == prev; only then is b's spectrum prev's
         nl_prev = (w_b if m == joined else walsh_transform(prev)).nonlinearity()
         nl_left = w_a.nonlinearity()
+        left_weight = a.weight()
         rows += [
             ("odd_from_even_decomposition", (m,), joined),
             ("right_half_is_reversed_complement", (b,), a.complement().reverse()),
             ("odd_majority_balanced", (weight,), 1 << (2 * n)),
-            ("left_half_weight_formula", (a.weight(),), predicted_left_half_weight(n)),
+            ("left_half_weight_formula", (left_weight,), predicted_left_half_weight(n)),
             ("mirror_extension_doubles_nonlinearity", (measured,), 2 * nl_left),
-            ("left_half_weight_equals_nonlinearity", (nl_left, nl_prev), a.weight()),
+            ("left_half_weight_equals_nonlinearity", (nl_left, nl_prev), left_weight),
         ]
         if k >= 7:
             q1 = a.halves()[0]  # first_quarter(k), without building majority(k) again
@@ -251,12 +252,12 @@ def majority_report(k: int, sweep: SpectrumSweep | None = None) -> MajorityRepor
                 ("quarter_half_weight_formulas", ((q1a.weight(), q1b.weight()),), predicted_quarter_half_weights(n)),
             ]
     elif k >= 6:
-        mirrored = b.complement().reverse()
+        mirrored_weight = b.complement().reverse().weight()
         first, second = _right_half_nonlinearity_forms(n)
         rows += [
-            ("mirrored_right_half_weight_bound", (mirrored.weight() < 1 << (2 * n - 2),), True),
+            ("mirrored_right_half_weight_bound", (mirrored_weight < 1 << (2 * n - 2),), True),
             ("right_half_closed_forms_agree", (second,), first),
-            ("right_half_nonlinearity_formula", (w_b.nonlinearity(), mirrored.weight(), *_oracle(b)), first),
+            ("right_half_nonlinearity_formula", (w_b.nonlinearity(), mirrored_weight, *_oracle(b)), first),
         ]
 
     identities = tuple(IdentityResult(name, all(v == expected for v in observed)) for name, observed, expected in rows)

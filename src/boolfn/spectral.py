@@ -65,7 +65,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .truthtable import TruthTable, check_same_vars, check_vars, pack_bits
+from .truthtable import TruthTable, check_same_vars, check_vars
 
 _BRUTE_FORCE_MAX_VARS = 16
 
@@ -226,7 +226,7 @@ def walsh_transform(t: TruthTable, out: np.ndarray | None = None) -> WalshSpectr
         out = np.empty(t.size, dtype=np.int32)
     elif out.dtype != np.int32 or out.shape != (t.size,) or not (out.flags.c_contiguous and out.flags.writeable):
         raise ValueError(f"out must be a writable C-contiguous int32 array of {t.size} entries")
-    raw = np.frombuffer(pack_bits(t.bits, t.size), dtype=np.uint8)
+    raw = np.frombuffer(t.packed, dtype=np.uint8)
     spectra = _BYTE_SPECTRA[min(t.n, 3)]  # passes h = 1, 2, 4 done
     if t.size <= _ROW_POINTS:  # one row: byte-major is table order
         narrow = spectra[raw].reshape(-1)
@@ -276,13 +276,14 @@ def _derive(t: TruthTable, u: TruthTable, w_u: np.ndarray, out: np.ndarray) -> N
     the sum, and x is derived from y.  One join (see _join) then writes
     t's spectrum from the two.  The halving and the join each run one chunk
     of _CHUNK_POINTS at a time.  Each half of t is checked against u's
-    other half as packed bits, with no table built for u's halves; where
-    neither relation holds, or n <= 1, t is transformed afresh."""
+    other half as packed bytes, u's first half read only once the down
+    check has failed and no table built for u's halves; where neither
+    relation holds, or n <= 1, t is transformed afresh."""
     if t.n > 1:
         h = t.size // 2
         parts, slots = t.halves(), out.reshape(2, h)
-        for j, combine, other in ((0, np.subtract, u.bits >> h), (1, np.add, u.bits & (1 << h) - 1)):  # down, then up
-            if parts[j].bits == other:
+        for j, combine in ((0, np.subtract), (1, np.add)):  # down, then up
+            if parts[j].packed == u.half_packed(1 - j):
                 for chunk in _chunks(h):
                     np.right_shift(combine(w_u[:h][chunk], w_u[h:][chunk], out=slots[j][chunk]), 1, out=slots[j][chunk])
                 _derive(parts[1 - j], parts[j], slots[j], slots[1 - j])
@@ -393,7 +394,7 @@ def brute_force_nonlinearity(t: TruthTable) -> int:
     if not 1 <= t.n <= _BRUTE_FORCE_MAX_VARS:
         raise ValueError(f"brute force supports 1..{_BRUTE_FORCE_MAX_VARS} variables, got {t.n}")
     size = t.size
-    words = np.frombuffer(pack_bits(t.bits, max(size, 64)), dtype="<u8")
+    words = np.frombuffer(t.packed.ljust(8, b"\0"), dtype="<u8")  # a table under one word padded to one
     width = 1 << (words.size.bit_length() - 1) // 2  # words per block
     blocks = words.reshape(-1, width)
     index = np.arange(width)

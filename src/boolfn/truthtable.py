@@ -6,10 +6,13 @@ order: v_0 is all zeros, v_1 = (0, ..., 0, 1), and so on as a binary
 counter.  Index bit p (counted from the least significant end) carries
 variable x_{n-p}: x_n ticks fastest, x_1 sits in the top bit.
 
-Tables are packed into a single arbitrary-precision integer with table
-entry i at bit position i, so weight and distance are popcounts and the
-structural operations (complement, reversal, concatenation) are plain
-integer arithmetic.
+A table is held as its (2**n + 7) // 8 packed bytes, little-endian: table
+entry i is bit i % 8 of byte i // 8.  A table under 8 points has one byte
+whose unused high bits are clear, so equal tables have equal bytes.
+Weight and distance are popcounts of the bytes, and the structural
+operations slice, join, XOR and bit-reverse them, with no Python int in
+between.  t.bits is the same table as one int, entry i at bit i, for the
+Moebius transform and for callers that want an int.
 
 A table has 0..max_vars() variables (30 unless BOOLFN_MAX_N lowers it).
 Each rule on packed tables lives in one function here:
@@ -17,12 +20,14 @@ Each rule on packed tables lives in one function here:
   affine_table, threshold, the majority pieces) calls it before it
   allocates anything table-sized, so a count past the cap is a
   ValueError, never a 2**n-bit allocation.
-- check_table() checks a packed value against its variable count; both
-  packed types, TruthTable and anf.AnfTable, validate through it.
+- check_table() checks a packed table, as an int or as its packed bytes,
+  against its variable count; TruthTable, its bytes constructor
+  TruthTable.from_packed and anf.AnfTable validate through it.
 - check_same_vars() refuses two operands on different variable counts.
-- pack_bits() turns a packed int into its little-endian bytes, and
-  unpack_bits() turns it into a 0/1 array through them; every other
-  byte-level view of a table starts from pack_bits().
+- pack_bits() turns a packed int into its bytes, the one int-to-bytes
+  conversion: TruthTable(n, bits) packs through it once, and every
+  byte-level reader (the codecs, the Walsh kernel, the oracle) reads
+  t.packed.  unpack_bits() turns packed bytes into a 0/1 array.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +48,9 @@ _BYTE_REVERSE = bytes(int(format(i, "08b")[::-1], 2) for i in range(256))
 # swap its nibbles, then the bit pairs in each nibble, then the bits in each
 # pair; a byte's mask, repeated in all eight bytes, selects the low parts
 _BIT_SWAPS = [(np.uint64(s), np.uint64(m * 0x0101010101010101)) for s, m in ((4, 0x0F), (2, 0x33), (1, 0x55))]
+# Indexed by min(n, 3): the bits of a packed byte that a table on n
+# variables uses, 1, 2 or 4 of them under one byte and all 8 from n = 3 on.
+_FILL = tuple((1 << (1 << n)) - 1 for n in range(4))
 _NON_BINARY = re.compile(r"[^01]")
 _NON_HEX = re.compile(r"[^0-9a-fA-F]")
 
@@ -64,10 +73,18 @@ def check_vars(n: int, low: int = 0) -> int:
     return n
 
 
-def check_table(n: int, bits: int) -> None:
-    """ValueError unless n passes check_vars and bits fits in 2**n table bits."""
-    if bits < 0 or bits.bit_length() > 1 << check_vars(n):
-        raise ValueError(f"packed value does not fit in {1 << n} table bits")
+def check_table(n: int, bits: int | bytes) -> None:
+    """ValueError unless n passes check_vars and bits fits in 2**n table bits:
+    a nonnegative int below 2**(2**n), or bytes of the packed length
+    (2**n + 7) // 8 with the bits past the table clear."""
+    size = 1 << check_vars(n)
+    if isinstance(bits, bytes):
+        # only a table under 8 points has bits past it, in its one byte
+        fits = len(bits) == (size + 7) // 8 and not bits[0] >> size
+    else:
+        fits = bits >= 0 and bits.bit_length() <= size
+    if not fits:
+        raise ValueError(f"packed value does not fit in {size} table bits")
 
 
 def check_same_vars(a: int, b: int) -> None:
@@ -82,12 +99,16 @@ def pack_bits(bits: int, size: int) -> bytes:
     return bits.to_bytes((size + 7) // 8, "little")
 
 
+def unpack_bits(packed: bytes, size: int) -> np.ndarray:
+    """Bits 0..size-1 of packed bytes as a uint8 array of 0/1."""
+    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=size, bitorder="little")
+
+
 def _reverse_byte_bits(words: np.ndarray) -> None:
     """Reverse the bits within each byte of a uint64 array, in place.
 
-    Its scratch array is freed on return, before the caller builds an int
-    of the same size, which can then reuse that memory instead of fresh
-    pages."""
+    Its scratch array is freed on return, before the caller copies the
+    words out, which can then reuse that memory instead of fresh pages."""
     low = np.empty_like(words)
     for shift, mask in _BIT_SWAPS:
         np.bitwise_and(words, mask, out=low)
@@ -97,20 +118,50 @@ def _reverse_byte_bits(words: np.ndarray) -> None:
         words |= low
 
 
-def unpack_bits(bits: int, size: int) -> np.ndarray:
-    """Bits 0..size-1 of a nonnegative int as a uint8 array of 0/1."""
-    return np.unpackbits(np.frombuffer(pack_bits(bits, size), dtype=np.uint8), count=size, bitorder="little")
+def _table(n: int, packed: bytes) -> TruthTable:
+    """The table on n variables held in packed, bytes already known to be
+    valid for n; no check and no copy."""
+    t = object.__new__(TruthTable)
+    fields = t.__dict__  # written directly, past the frozen dataclass's __setattr__
+    fields["n"], fields["packed"] = n, packed
+    return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class TruthTable:
-    """Boolean function given by its packed 2**n-entry truth table."""
+    """Boolean function given by its packed 2**n-entry truth table.
+
+    TruthTable(n, bits) takes the table as an int, entry i at bit i;
+    TruthTable.from_packed(n, packed) takes its packed bytes.  Either is
+    validated by check_table, and equal tables are equal, with equal
+    hashes, however they were built."""
 
     n: int
-    bits: int
+    packed: bytes
 
-    def __post_init__(self) -> None:
-        check_table(self.n, self.bits)
+    def __init__(self, n: int, bits: int) -> None:
+        check_table(n, bits)
+        fields = self.__dict__  # as in _table; bits is kept, so self.bits costs nothing
+        fields["n"], fields["packed"], fields["bits"] = n, pack_bits(bits, 1 << n), bits
+
+    @classmethod
+    def from_packed(cls, n: int, packed: bytes) -> TruthTable:
+        """The table on n variables whose packed bytes are packed (see the
+        module docstring): (2**n + 7) // 8 bytes, any bits past a table
+        under 8 points clear; anything else is check_table's ValueError."""
+        check_table(n, packed)
+        return _table(n, packed)
+
+    @cached_property
+    def bits(self) -> int:
+        """The table as one nonnegative int, entry i at bit i, built from the
+        packed bytes on first use when the table was not built from it."""
+        return int.from_bytes(self.packed, "little")
+
+    def __repr__(self) -> str:
+        # hex, which has no digit limit: str() of an int past 4300 digits, a
+        # table on 14 variables or more, is a ValueError
+        return f"TruthTable(n={self.n}, bits={self.bits:#x})"
 
     @property
     def size(self) -> int:
@@ -119,44 +170,53 @@ class TruthTable:
     def bit(self, i: int) -> int:
         if not 0 <= i < self.size:
             raise ValueError(f"table index {i} outside 0..{self.size - 1}")
-        return (self.bits >> i) & 1
+        return self.packed[i >> 3] >> (i & 7) & 1
 
     def weight(self) -> int:
-        return self.bits.bit_count()
+        if self.n <= 6:  # one 64-bit word at most: one int, where numpy's per-call cost would dominate
+            return self.bits.bit_count()
+        return int(np.bitwise_count(np.frombuffer(self.packed, dtype="<u8")).sum())
 
     def is_balanced(self) -> bool:
         return 2 * self.weight() == self.size
 
     def distance(self, other: TruthTable) -> int:
         """Hamming distance: number of table positions where the two differ."""
-        check_same_vars(self.n, other.n)
-        return (self.bits ^ other.bits).bit_count()
+        return (self ^ other).weight()
 
     def __xor__(self, other: TruthTable) -> TruthTable:
         check_same_vars(self.n, other.n)
-        return TruthTable(self.n, self.bits ^ other.bits)
+        xor = np.frombuffer(self.packed, dtype=np.uint8) ^ np.frombuffer(other.packed, dtype=np.uint8)
+        return _table(self.n, xor.tobytes())
 
     def complement(self) -> TruthTable:
-        return TruthTable(self.n, self.bits ^ ((1 << self.size) - 1))
+        return _table(self.n, (np.frombuffer(self.packed, dtype=np.uint8) ^ _FILL[min(self.n, 3)]).tobytes())
 
     def reverse(self) -> TruthTable:
         """Table read back-to-front: bit i becomes bit 2**n - 1 - i."""
         size = self.size
         # the words' order and their byte order reversed: the bytes back to front
-        words = np.frombuffer(pack_bits(self.bits, max(size, 64)), dtype="<u8")[::-1].byteswap()
+        words = np.frombuffer(self.packed.ljust(8, b"\0"), dtype="<u8")[::-1].byteswap()
         _reverse_byte_bits(words)
-        # a table under 64 bits lands in the top bits of its word
-        return TruthTable(self.n, int.from_bytes(words.tobytes(), "little") >> (-size % 64))
+        if size < 64:  # a table under one word lands in the top bits of its word
+            words >>= np.uint64(64 - size)
+        return _table(self.n, words.tobytes()[: len(self.packed)])
+
+    def half_packed(self, j: int) -> bytes:
+        """The packed bytes of half j, 0 the left and 1 the right (see
+        halves), with no table built."""
+        if self.n == 0:
+            raise ValueError("cannot halve a table on zero variables")
+        packed = self.packed
+        if self.n > 3:  # each half is whole bytes
+            middle = len(packed) // 2
+            return packed[middle:] if j else packed[:middle]
+        half = self.size // 2
+        return bytes([packed[0] >> half if j else packed[0] & _FILL[self.n - 1]])
 
     def halves(self) -> tuple[TruthTable, TruthTable]:
         """Split into (left, right): entries 0..2**(n-1)-1 and the rest."""
-        if self.n == 0:
-            raise ValueError("cannot halve a table on zero variables")
-        half = self.size // 2
-        return (
-            TruthTable(self.n - 1, self.bits & ((1 << half) - 1)),
-            TruthTable(self.n - 1, self.bits >> half),
-        )
+        return _table(self.n - 1, self.half_packed(0)), _table(self.n - 1, self.half_packed(1))
 
     def to_bitstring(self) -> str:
         """'0'/'1' text, entry 0 first."""
@@ -168,12 +228,11 @@ class TruthTable:
         size = self.size
         if size < 4:
             raise ValueError("hex format needs a table of at least 4 bits")
-        raw = pack_bits(self.bits, size)
-        return "0x" + raw.translate(_BYTE_REVERSE).hex()[: size // 4]
+        return "0x" + self.packed.translate(_BYTE_REVERSE).hex()[: size // 4]
 
     def to_array(self) -> np.ndarray:
         """Table entries as a uint8 array of 0/1, entry i at position i."""
-        return unpack_bits(self.bits, self.size)
+        return unpack_bits(self.packed, self.size)
 
 
 def from_bitstring(s: str) -> TruthTable:
@@ -203,17 +262,21 @@ def from_hex(s: str) -> TruthTable:
         raise ValueError("hex table text has no digits")
     n = _table_vars(4 * len(digits))
     raw = bytes.fromhex(digits + "0" * (len(digits) % 2))  # one digit: the 4-entry table
-    return TruthTable(n, int.from_bytes(raw.translate(_BYTE_REVERSE), "little"))
+    return TruthTable.from_packed(n, raw.translate(_BYTE_REVERSE))
 
 
 def concat(left: TruthTable, right: TruthTable) -> TruthTable:
     """Join two tables on n variables into one on n + 1; left comes first."""
     check_same_vars(left.n, right.n)
-    return TruthTable(left.n + 1, left.bits | right.bits << left.size)
+    if left.n >= 3:  # whole bytes
+        return _table(left.n + 1, left.packed + right.packed)
+    return _table(left.n + 1, bytes([left.packed[0] | right.packed[0] << left.size]))
 
 
 def random_table(n: int, rng: np.random.Generator) -> TruthTable:
     """Uniformly random table on n variables."""
     size = 1 << check_vars(n)
     raw = rng.bytes((size + 7) // 8)
-    return TruthTable(n, int.from_bytes(raw, "little") & ((1 << size) - 1))
+    if n < 3:  # clear the bits past the table
+        raw = bytes([raw[0] & _FILL[n]])
+    return _table(n, raw)

@@ -379,6 +379,21 @@ class TestDerive:
         u = random_table(n, rng)
         assert self.derived(count_transforms(monkeypatch), chain(u, steps, rng), u) == [n - len(steps)]
 
+    @pytest.mark.parametrize("steps", ["d", "u"])
+    def test_u_is_read_lazily_and_never_split(self, monkeypatch, steps):
+        # u's halves are read as packed bytes, second half first, the first
+        # only once the down check has failed, and no table is built for them
+        rng = np.random.default_rng(6)
+        u = random_table(6, rng)
+        t = chain(u, steps, rng)
+        read, split = [], []
+        half_packed, halves = TruthTable.half_packed, TruthTable.halves
+        monkeypatch.setattr(TruthTable, "half_packed", lambda table, j: read.append((table, j)) or half_packed(table, j))
+        monkeypatch.setattr(TruthTable, "halves", lambda table: split.append(table) or halves(table))
+        self.derived([], t, u)
+        assert [j for table, j in read if table is u] == ([1] if steps == "d" else [1, 0])
+        assert all(table is not u for table in split)
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_neither_relation_transforms_afresh(self, monkeypatch, n):
         # u's halves in the wrong places, or in none, tie t to u by neither relation

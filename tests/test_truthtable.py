@@ -191,6 +191,145 @@ class TestCodecs:
         assert all(arr[i] == t.bit(i) for i in range(t.size))
 
 
+_FLIP = str.maketrans("01", "10")
+
+
+def _hex_reference(s: str) -> str:
+    """to_hex() of the table with '0'/'1' text s, four characters per digit."""
+    return "0x" + "".join(format(int(s[i : i + 4], 2), "x") for i in range(0, len(s), 4))
+
+
+def _check_packed(t: TruthTable) -> None:
+    """t's bytes have the packed length, and any bits past a table under 8
+    points are clear."""
+    assert len(t.packed) == (t.size + 7) // 8
+    assert t.packed[0] >> t.size == 0
+
+
+def _check_one(t: TruthTable, text: str, indices, reverse: bool = True) -> None:
+    """Every single-table operation on t, against text, t's '0'/'1' text;
+    reverse() only with reverse."""
+    size = len(text)
+    assert t.to_bitstring() == text
+    assert t.weight() == text.count("1")
+    assert [t.bit(i) for i in indices] == [int(text[i]) for i in indices]
+    c = t.complement()
+    assert c.to_bitstring() == text.translate(_FLIP)
+    _check_packed(t)
+    _check_packed(c)
+    if reverse:
+        r = t.reverse()
+        assert r.to_bitstring() == text[::-1]
+        _check_packed(r)
+    if size >= 4:
+        assert t.to_hex() == _hex_reference(text)
+    if t.n:
+        left, right = t.halves()
+        assert (left.to_bitstring(), right.to_bitstring()) == (text[: size // 2], text[size // 2 :])
+        assert (t.half_packed(0), t.half_packed(1)) == (left.packed, right.packed)
+        joined = concat(left, right)
+        assert joined == t and hash(joined) == hash(t)
+        for table in (left, right, joined):
+            _check_packed(table)
+
+
+def _check_pair(t: TruthTable, u: TruthTable) -> None:
+    """The two-table operations on t and u, tables on the same n, against
+    their '0'/'1' text."""
+    s, v = t.to_bitstring(), u.to_bitstring()
+    x = t ^ u
+    assert x.to_bitstring() == "".join("1" if a != b else "0" for a, b in zip(s, v))
+    assert t.distance(u) == x.weight() == sum(a != b for a, b in zip(s, v))
+    assert (t == u) == (s == v)
+    joined = concat(t, u)
+    assert joined.to_bitstring() == s + v
+    for table in (x, joined):
+        _check_packed(table)
+
+
+class TestPackedBytes:
+    """Each operation on the packed bytes against a reference built from
+    the '0'/'1' text, with the bytes checked after every operation."""
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_table(self, n):
+        # n <= 3 fits in one byte, with bits past the table from n = 0 to 2
+        size = 1 << n
+        tables = [TruthTable(n, bits) for bits in range(1 << size)]
+        for bits, t in enumerate(tables):
+            # reverse() on n = 4 has its own exhaustive test
+            _check_one(t, format(bits, f"0{size}b")[::-1], range(size), reverse=n <= 3)
+        # every pair up to n = 3; on n = 4, each table with the one 0x5A5A away
+        for bits, t in enumerate(tables):
+            for other in range(len(tables)) if n <= 3 else (bits ^ 0x5A5A,):
+                _check_pair(t, tables[other])
+
+    @pytest.mark.parametrize("n", range(5, 21))
+    def test_random_tables(self, n):
+        # n = 5 is half a word, n = 6 one word, from n = 7 on numpy popcounts words
+        rng = np.random.default_rng(n)
+        t, u = random_table(n, rng), random_table(n, rng)
+        size = 1 << n
+        indices = sorted({0, 7, 8, size - 1, *rng.integers(0, size, 64).tolist()})
+        for table in (t, u):
+            _check_one(table, table.to_bitstring(), indices)
+            assert table.bits.bit_count() == table.weight()
+        _check_pair(t, u)
+        _check_pair(t, t)
+
+    def test_complement_leaves_the_bits_past_the_table_clear(self):
+        # a table on 1 variable uses bits 0 and 1 of its byte, so bits 2..7 stay clear
+        assert TruthTable(1, 0b01).complement().packed == b"\x02"
+        assert [TruthTable(n, 0).complement().packed for n in range(5)] == [
+            b"\x01", b"\x03", b"\x0f", b"\xff", b"\xff\xff"
+        ]
+
+    def test_tables_on_different_counts_differ(self):
+        # the same packed byte on 0, 1 and 2 variables
+        tables = [TruthTable(n, 1) for n in range(3)]
+        assert len({t.packed for t in tables}) == 1
+        assert len(set(tables)) == 3
+
+    @given(truth_tables())
+    def test_both_constructors_agree(self, t):
+        by_bytes = TruthTable.from_packed(t.n, t.packed)
+        by_int = TruthTable(t.n, t.bits)
+        assert by_bytes == by_int and hash(by_bytes) == hash(by_int)
+        assert by_bytes.bits == by_int.bits == int(t.to_bitstring()[::-1], 2)
+        assert repr(by_bytes) == repr(by_int) == f"TruthTable(n={t.n}, bits={t.bits:#x})"
+
+    @pytest.mark.parametrize("n", [0, 3, 14, 16])
+    def test_repr_evaluates_back(self, n):
+        # from n = 14 on the table's int has more than 4300 decimal digits
+        t = random_table(n, np.random.default_rng(n))
+        assert eval(repr(t), {"TruthTable": TruthTable}) == t
+
+    @pytest.mark.parametrize(
+        ("n", "packed"),
+        [
+            (0, b"\x02"),  # a bit past the one point
+            (1, b"\x04"),
+            (2, b"\x10"),
+            (2, b"\x80"),
+            (0, b""),  # too short
+            (3, b""),
+            (4, b"\xff"),
+            (2, b"\x00\x00"),  # too long
+            (4, b"\x00\x00\x00"),
+        ],
+    )
+    def test_from_packed_refuses_what_does_not_fit(self, n, packed):
+        message = f"packed value does not fit in {1 << n} table bits"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TruthTable(n, 1 << (1 << n))  # the int constructor's message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TruthTable.from_packed(n, packed)
+
+    def test_from_packed_checks_the_variable_count(self):
+        with pytest.raises(ValueError, match=re.escape(f"variable count {max_vars() + 1} outside 0..{max_vars()}")):
+            TruthTable.from_packed(max_vars() + 1, b"")
+
+
 class TestRandomTables:
     def test_deterministic_under_seed(self):
         a = random_table(6, np.random.default_rng(7))
