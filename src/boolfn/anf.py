@@ -2,9 +2,13 @@
 
 Coefficient index m encodes the monomial that multiplies the variables
 whose index bits are set in m (same bit convention as truth tables, so
-bit p stands for x_{n-p}).  The transform is an XOR butterfly done
-directly on the packed bits, and it is its own inverse, so an affine
-table is built as the transform of its degree-1 ANF.
+bit p stands for x_{n-p}).  An AnfTable holds its coefficients as packed
+bytes laid out as a table's, and a.coeffs is the same as one int.  The
+transform is an XOR butterfly on the packed bytes, from a table's bytes to
+its ANF's and back: the passes inside each byte are one translate through a
+256-entry table, and each pass above the byte XORs words of up to 8 bytes.
+It is its own inverse, so an affine table is built as the transform of its
+degree-1 ANF.
 
 The ANF text lists the terms by degree, descending, then by m, descending.
 A term's name is a prefix for the high part of m plus a name for its low
@@ -34,25 +38,29 @@ import numpy as np
 from .truthtable import TruthTable, check_table, check_vars, pack_bits, unpack_bits
 
 
-def _low_mask(block: int, size: int) -> int:
-    """The low `block` bits of every 2*block-bit group of a size-bit table,
-    built by doubling (dividing an all-ones integer is far slower)."""
-    mask = (1 << block) - 1
-    width = 2 * block
-    while width < size:
-        mask |= mask << width
-        width <<= 1
-    return mask
+def _byte_mobius(n: int) -> bytes:
+    """Entry b: byte b after the Moebius passes inside a table of min(n, 3)
+    variables; those passes leave the bits past the table as they are."""
+    b = np.arange(256, dtype=np.uint8)
+    for shift, low in ((1, 0x55), (2, 0x33), (4, 0x0F))[:n]:
+        b ^= (b & low) << shift
+    return b.tobytes()
 
 
-def _mobius(bits: int, n: int) -> int:
-    """Packed XOR butterfly; self-inverse subset-sum over GF(2)."""
-    size = 1 << n
-    block = 1
-    while block < size:
-        bits ^= (bits & _low_mask(block, size)) << block
-        block <<= 1
-    return bits
+# Indexed by min(n, 3), as a table under one byte has 1, 2 or 4 points.
+_BYTE_MOBIUS = tuple(_byte_mobius(n) for n in range(4))
+
+
+def _mobius(packed: bytes, n: int) -> bytes:
+    """The Moebius transform of a table's packed bytes, its own inverse: the
+    passes inside each byte as one translate, then each pass above the byte
+    XORs the first h bytes of every 2h into the second, both seen as words
+    of min(h, 8) bytes."""
+    words = np.frombuffer(bytearray(packed.translate(_BYTE_MOBIUS[min(n, 3)])), dtype=np.uint8)
+    for p in range(n - 3):  # h = 2**p bytes, in words of 2**min(p, 3) bytes
+        pairs = words.view(f"u{1 << min(p, 3)}").reshape(-1, 2, 1 << max(p - 3, 0))
+        pairs[:, 1] ^= pairs[:, 0]
+    return words.tobytes()
 
 
 def _names(n: int, first: int, stop: int) -> list[str]:
@@ -107,19 +115,30 @@ def _grid(n: int) -> _Grid:
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AnfTable:
-    """Packed Moebius coefficients; bit m is the coefficient of monomial m."""
+    """Moebius coefficients as packed bytes, laid out as a table's: bit m is
+    the coefficient of monomial m.  AnfTable(n, coeffs) takes them as an
+    int, bit m the coefficient of m, validated by check_table."""
 
     n: int
-    coeffs: int
+    packed: bytes
 
-    def __post_init__(self) -> None:
-        check_table(self.n, self.coeffs)
+    def __init__(self, n: int, coeffs: int) -> None:
+        check_table(n, coeffs)
+        # written directly, past the frozen dataclass's __setattr__; coeffs is
+        # kept, so self.coeffs costs nothing
+        self.__dict__.update(n=n, packed=pack_bits(coeffs, 1 << n), coeffs=coeffs)
+
+    @cached_property
+    def coeffs(self) -> int:
+        """The coefficients as one nonnegative int, bit m the coefficient of
+        monomial m, built from the packed bytes on first use."""
+        return int.from_bytes(self.packed, "little")
 
     def to_truthtable(self) -> TruthTable:
         """The table of the function: the Moebius transform of the coefficients."""
-        return TruthTable(self.n, _mobius(self.coeffs, self.n))
+        return TruthTable.from_packed(self.n, _mobius(self.packed, self.n))
 
     @cached_property
     def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -128,8 +147,7 @@ class AnfTable:
         runs that hold any, in output order; and each such run's (first,
         past-last) positions in the cells, as a (2, runs) array."""
         grid = _grid(self.n)
-        size = 1 << self.n
-        bits = unpack_bits(pack_bits(self.coeffs, size), size).view(bool).reshape(-1, len(grid.columns))
+        bits = unpack_bits(self.packed, 1 << self.n).view(bool).reshape(-1, len(grid.columns))
         cells = np.flatnonzero(bits.take(grid.columns, axis=1))
         bounds = cells.searchsorted(grid.edges)
         live = (bounds[0] < bounds[1]).nonzero()[0]
@@ -139,8 +157,7 @@ class AnfTable:
 
     def monomials(self) -> list[int]:
         """Set coefficient indices, ascending."""
-        size = 1 << self.n
-        return np.flatnonzero(unpack_bits(pack_bits(self.coeffs, size), size)).tolist()
+        return np.flatnonzero(unpack_bits(self.packed, 1 << self.n)).tolist()
 
     def degree(self) -> int:
         """Largest monomial size; 0 for the constants.  The runs are in
@@ -203,5 +220,8 @@ def affine_table(spec: AffineSpec, n: int) -> TruthTable:
 
 def to_anf(t: TruthTable) -> AnfTable:
     """The ANF coefficients of t: the Moebius transform of its table."""
-    return AnfTable(t.n, _mobius(t.bits, t.n))
+    # the transform of a valid table is valid on the same n: no second check
+    a = object.__new__(AnfTable)
+    a.__dict__.update(n=t.n, packed=_mobius(t.packed, t.n))
+    return a
 

@@ -252,7 +252,9 @@ def majority_report(k: int, sweep: SpectrumSweep | None = None) -> MajorityRepor
                 ("quarter_half_weight_formulas", ((q1a.weight(), q1b.weight()),), predicted_quarter_half_weights(n)),
             ]
     elif k >= 6:
-        mirrored_weight = b.complement().reverse().weight()
+        # the mirrored right half is b reversed and complemented; a reversal
+        # moves no bit, so its weight is the complement's
+        mirrored_weight = b.complement().weight()
         first, second = _right_half_nonlinearity_forms(n)
         rows += [
             ("mirrored_right_half_weight_bound", (mirrored_weight < 1 << (2 * n - 2),), True),

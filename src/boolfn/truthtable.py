@@ -11,8 +11,8 @@ entry i is bit i % 8 of byte i // 8.  A table under 8 points has one byte
 whose unused high bits are clear, so equal tables have equal bytes.
 Weight and distance are popcounts of the bytes, and the structural
 operations slice, join, XOR and bit-reverse them, with no Python int in
-between.  t.bits is the same table as one int, entry i at bit i, for the
-Moebius transform and for callers that want an int.
+between.  t.bits is the same table as one int, entry i at bit i, for
+callers that want an int; no kernel reads it.
 
 A table has 0..max_vars() variables (30 unless BOOLFN_MAX_N lowers it).
 Each rule on packed tables lives in one function here:
@@ -25,9 +25,10 @@ Each rule on packed tables lives in one function here:
   TruthTable.from_packed and anf.AnfTable validate through it.
 - check_same_vars() refuses two operands on different variable counts.
 - pack_bits() turns a packed int into its bytes, the one int-to-bytes
-  conversion: TruthTable(n, bits) packs through it once, and every
-  byte-level reader (the codecs, the Walsh kernel, the oracle) reads
-  t.packed.  unpack_bits() turns packed bytes into a 0/1 array.
+  conversion: TruthTable(n, bits) and anf.AnfTable(n, coeffs) pack through
+  it once, and every kernel (the codecs, the Walsh kernel, the oracle, the
+  Moebius transform) reads the packed bytes.  unpack_bits() turns packed
+  bytes into a 0/1 array.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from boolfn import AnfTable, TruthTable, from_bitstring, random_table, to_anf
 from boolfn.anf import _grid
+from boolfn.truthtable import pack_bits
 
 from conftest import truth_tables
 
@@ -55,6 +56,17 @@ def from_monomials(n: int, ms) -> AnfTable:
     return AnfTable(n, int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
 
 
+def reference_coefficients(t: TruthTable) -> np.ndarray:
+    """The ANF coefficients of t as a 0/1 array, a_m = XOR of f(x) over the
+    x inside m, one variable at a time on the unpacked points: no bytes and
+    no words."""
+    a = np.array([int(c) for c in t.to_bitstring()], dtype=np.uint8)
+    for p in range(t.n):
+        pairs = a.reshape(-1, 2, 1 << p)  # index bit p clear, then set
+        pairs[:, 1] ^= pairs[:, 0]
+    return a
+
+
 ANF_ALPHABET = re.compile(r"^(0|[0-9x +]+)$")  # nothing in it needs a JSON escape
 
 
@@ -83,6 +95,47 @@ class TestMobius:
         # f = 1 on the three points of weight two
         a = to_anf(from_bitstring("00010110"))
         assert sorted(a.monomials()) == [3, 5, 6, 7]
+
+
+class TestByteKernel:
+    """The transform on packed bytes against the unpacked reference: every
+    table under 16 points covers the in-byte passes and the padding bits of
+    a table under 8; n = 4, 6 and 7 the pass on single bytes, on 2-byte and
+    4-byte words and on the first 8-byte words; n = 9 and 10 the passes on
+    several 8-byte words; n = 16 and 20 the long ones."""
+
+    @staticmethod
+    def check(t: TruthTable) -> None:
+        expected = reference_coefficients(t)
+        a = to_anf(t)
+        assert a.packed == np.packbits(expected, bitorder="little").tobytes()
+        assert a.coeffs == int("".join(map(str, expected[::-1])), 2)
+        assert AnfTable(t.n, a.coeffs).packed == pack_bits(a.coeffs, t.size)
+        assert a.to_truthtable() == t  # its own inverse, on the bytes
+
+    def test_reference_is_the_definition(self):
+        for n in range(5):
+            t = random_table(n, np.random.default_rng(n))
+            subsets = [[x for x in range(t.size) if x & m == x] for m in range(t.size)]
+            definition = [sum(t.bit(x) for x in xs) % 2 for xs in subsets]
+            assert reference_coefficients(t).tolist() == definition
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_every_small_table(self, n):
+        for bits in range(1 << (1 << n)):
+            self.check(TruthTable(n, bits))
+
+    @pytest.mark.parametrize("n", [4, 6, 7, 9, 10, 16, 20])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_tables(self, n, seed):
+        self.check(random_table(n, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("n", [0, 2, 3, 5, 12])
+    def test_packed_is_the_int_packed(self, n):
+        for c in (0, 1, (1 << (1 << n)) - 1, int(np.random.default_rng(n).integers(1 << min(1 << n, 62)))):
+            a = AnfTable(n, c)
+            assert a.packed == pack_bits(c, 1 << n) and a.coeffs == c
+            assert to_anf(a.to_truthtable()) == a
 
 
 class TestValidation:

@@ -647,10 +647,10 @@ class TestAffineTables:
 
     @pytest.mark.parametrize("n", [-1, 31])
     def test_cap_is_checked_before_the_masks(self, monkeypatch, n):
-        def no_masks(block, size):
-            raise AssertionError(f"built a {size}-bit mask for {n} variables")
+        def no_transform(packed, n):
+            raise AssertionError(f"ran the Moebius transform on {len(packed)} bytes for {n} variables")
 
-        monkeypatch.setattr(importlib.import_module("boolfn.anf"), "_low_mask", no_masks)
+        monkeypatch.setattr(importlib.import_module("boolfn.anf"), "_mobius", no_transform)
         message = f"variable count {n} outside 0..{max_vars()}"
         with pytest.raises(ValueError, match=re.escape(message)):
             affine_table(AffineSpec(1, 0), n)
