@@ -25,6 +25,11 @@ The grid is the one per-n cache of names: each run's prefix and each
 column's low name.  A row holds a power of two of cells, so a term's low
 name is read by its column, the low bits of its cell.  monomial_string()
 spells a name from the bits of m alone and reads nothing from the grid.
+
+The text is built a run at a time: render_pieces() lists, for each run,
+the separator, the prefix and the run's low names joined.  render() is
+the join of that list, and the CLI writes the pieces as they are, so it
+holds no copy of the whole text.
 """
 
 from __future__ import annotations
@@ -172,24 +177,32 @@ class AnfTable:
             raise ValueError(f"monomial index {m} outside 0..{(1 << self.n) - 1}")
         return "".join(f"x{self.n - p}" for p in reversed(range(m.bit_length())) if m >> p & 1) or "1"
 
+    def render_pieces(self) -> list[str]:
+        """render()'s text as a list of pieces, in order: for each run that
+        holds a term, the separator " + " (none before the first run), the
+        run's prefix and (" + " + prefix).join of its low names; ["0"] for
+        the zero function.  Every piece is built before the list is
+        returned, so a caller can write them one by one with no joined copy
+        of the text."""
+        columns, live, bounds = self._runs
+        if not columns.size:
+            return ["0"]
+        grid = _grid(self.n)
+        names = grid.names.take(columns).tolist()  # the grid's shared str objects
+        pieces = []
+        for prefix, start, stop in zip(grid.prefixes.take(live).tolist(), *bounds.tolist()):
+            pieces += (" + ", prefix, (" + " + prefix).join(names[start:stop]))
+        del pieces[0]
+        return pieces
+
     def render(self) -> str:
         """Sum of monomials, highest degree first, 'x1x2'-style variables.
 
         Within one degree the variable tuples ascend lexicographically, which
         is descending m because x1 sits in the top index bit.  The text is
-        one join per run that holds a term, prefix + (" + " + prefix).join
-        of its low names, with no sort: the grid puts the runs in this order
-        and each run's cells in descending m."""
-        columns, live, bounds = self._runs
-        if not columns.size:
-            return "0"
-        grid = _grid(self.n)
-        names = grid.names.take(columns).tolist()  # the grid's shared str objects
-        runs = [
-            prefix + (" + " + prefix).join(names[start:stop])
-            for prefix, start, stop in zip(grid.prefixes.take(live).tolist(), *bounds.tolist())
-        ]
-        return " + ".join(runs)
+        the join of render_pieces(), with no sort: the grid puts the runs in
+        this order and each run's cells in descending m."""
+        return "".join(self.render_pieces())
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from functools import cache
 
 import numpy as np
 
-from .anf import to_anf
+from .anf import AnfTable, to_anf
 from .majority import iter_reports, majority, majority_report, run_length_string
 from .spectral import WalshSpectrum, check_weight_equals_nonlinearity, walsh_transform
 from .truthtable import TruthTable, check_same_vars, from_bitstring, from_hex, random_table
@@ -54,6 +54,13 @@ def analyze_table(t: TruthTable, spectrum: WalshSpectrum | None = None) -> Analy
         spectrum = walsh_transform(t)
     check_same_vars(t.n, spectrum.n)
     anf = to_anf(t)
+    return _report(t, spectrum, anf, anf.render())
+
+
+def _report(t: TruthTable, spectrum: WalshSpectrum, anf: AnfTable, anf_text: str) -> AnalysisReport:
+    """The report on t from its spectrum and ANF, with anf_text as its anf:
+    analyze_table passes the rendered text, and analyze passes "" and
+    writes the ANF's pieces itself."""
     if t.n >= 2:  # the check takes the weight, so it is taken once
         check = check_weight_equals_nonlinearity(t, spectrum)
         weight, nl, verdict = check.weight, check.nonlinearity, check.verdict
@@ -67,7 +74,7 @@ def analyze_table(t: TruthTable, spectrum: WalshSpectrum | None = None) -> Analy
         degree=anf.degree(),
         max_abs_walsh=spectrum.max_abs(),
         max_abs_walsh_at=spectrum.max_abs_index(),
-        anf=anf.render(),
+        anf=anf_text,
         weight_equals_nonlinearity=verdict,
     )
 
@@ -104,10 +111,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     t = _parse_table(text, args.n)
     with _table_memory(t.n):
         spectrum = walsh_transform(t)
-        payload = analyze_table(t, spectrum).to_dict()
+        anf = to_anf(t)
+        payload = _report(t, spectrum, anf, "").to_dict()
+        # the ANF is written a run at a time, with no joined copy of its
+        # text; every piece is built before the first byte is written, so an
+        # out-of-memory leaves stdout empty
+        pieces = anf.render_pieces()
         if args.text:
             for key, value in payload.items():
-                print(f"{key}:", value)  # print writes value as it is, with no joined copy
+                if key == "anf":
+                    sys.stdout.write("anf: ")
+                    sys.stdout.writelines(pieces)
+                    sys.stdout.write("\n")
+                else:
+                    print(f"{key}:", value)
             if args.spectrum:
                 sys.stdout.write("walsh_spectrum: [")
                 _write_joined(spectrum.values, ", ")
@@ -116,15 +133,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             # json's escape scan of the ANF costs more than the rest of the
             # dump, and its encoder writes a list one entry at a time; the
             # ANF's alphabet, [0-9x +], needs no escape and the spectrum is
-            # plain integers, so both are written between the dumped text's
-            # pieces as they are, with no joined copy
-            anf, payload["anf"] = payload["anf"], ""
+            # plain integers, so both are written into the dumped text as
+            # they are
             if args.spectrum:
                 payload["walsh_spectrum"] = []
             text = json.dumps(payload, indent=2)
             at = text.index('"anf": "') + len('"anf": "')
             sys.stdout.write(text[:at])
-            sys.stdout.write(anf)
+            sys.stdout.writelines(pieces)
             if args.spectrum:
                 end = text.index('"walsh_spectrum": [', at) + len('"walsh_spectrum": [')
                 sys.stdout.write(text[at:end] + "\n    ")

@@ -29,6 +29,11 @@ Each rule on packed tables lives in one function here:
   it once, and every kernel (the codecs, the Walsh kernel, the oracle, the
   Moebius transform) reads the packed bytes.  unpack_bits() turns packed
   bytes into a 0/1 array.
+
+from_bitstring() checks its text with one regex search.  from_hex() checks
+its text with bytes.fromhex alone, which decodes it in the same read; only
+text that fromhex refuses, or shortens by skipping whitespace, is searched
+by a regex, to name the first bad character and its position.
 """
 
 from __future__ import annotations
@@ -256,13 +261,18 @@ def from_hex(s: str) -> TruthTable:
     if not s.startswith(("0x", "0X")):
         raise ValueError("hex table text must start with '0x'")
     digits = s[2:]
-    bad = _NON_HEX.search(digits)  # checked here: bytes.fromhex skips whitespace
-    if bad:
+    try:
+        raw = bytes.fromhex(digits + "0" * (len(digits) % 2))  # one digit: the 4-entry table
+    except ValueError:
+        raw = b""
+    # fromhex skips whitespace between pairs, so a short result is bad text
+    # too; only then is the text read again, to name the first bad character
+    if len(raw) < (len(digits) + 1) // 2:
+        bad = _NON_HEX.search(digits)
         raise ValueError(f"invalid hex character {bad.group()!r} at position {bad.start() + 2}")
     if not digits:
         raise ValueError("hex table text has no digits")
     n = _table_vars(4 * len(digits))
-    raw = bytes.fromhex(digits + "0" * (len(digits) % 2))  # one digit: the 4-entry table
     return TruthTable.from_packed(n, raw.translate(_BYTE_REVERSE))
 
 

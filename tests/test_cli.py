@@ -137,15 +137,22 @@ class TestAnalyze:
         assert calls == [4]
         assert report.nonlinearity == 2 and report.weight_equals_nonlinearity == "pass"
 
-    # the ANF is written into the JSON text unescaped; the bytes must be json's own
-    @pytest.mark.parametrize("n", range(2, 17))
+    # the ANF is written a run at a time, into the JSON text unescaped: the
+    # bytes must be json's own, and in both formats the ANF must be render()'s
+    # text, for a random table and both constants
+    @pytest.mark.parametrize("n", range(17))
     @pytest.mark.parametrize("flags", [[], ["--spectrum"]], ids=["plain", "spectrum"])
     def test_json_output_is_json_dumps(self, capsys, n, flags):
-        t = random_table(n, np.random.default_rng(n))
-        code, out, _ = run(capsys, "analyze", "--tt", t.to_hex(), *flags)
-        assert code == 0
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
-        assert json.loads(out)["anf"] == analyze_table(t).anf
+        zero = TruthTable(n, 0)
+        for t in (random_table(n, np.random.default_rng(n)), zero, zero.complement()):
+            tt = t.to_hex() if n >= 2 else t.to_bitstring()
+            code, out, _ = run(capsys, "analyze", "--tt", tt, *flags)
+            assert code == 0
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+            assert json.loads(out)["anf"] == analyze_table(t).anf
+            code, out, _ = run(capsys, "analyze", "--tt", tt, "--text", *flags)
+            assert code == 0
+            assert dict(line.split(": ", 1) for line in out.splitlines())["anf"] == analyze_table(t).anf
 
     # the spectrum is written a chunk at a time; every n above holds one chunk
     @pytest.mark.parametrize("chunk", [1, 3, 4, 16])
@@ -330,6 +337,24 @@ class TestOutOfMemory:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: out of memory on a table of 5 variables (2**5 points)\n"
+
+    # every ANF piece is built before the first byte is written: a
+    # MemoryError from the join of a run past the first leaves stdout empty
+    @pytest.mark.parametrize("flags", [[], ["--text"]], ids=["json", "text"])
+    def test_nothing_written_before_the_anf_pieces_are_built(self, capsys, monkeypatch, flags):
+        class Exhausting(str):
+            def __radd__(self, other):  # the run's separator and prefix, " + " + prefix
+                raise MemoryError
+
+        module = importlib.import_module("boolfn.anf")
+        grid = module._grid(14)
+        prefixes = grid.prefixes.copy()
+        prefixes[len(prefixes) // 2 :] = [Exhausting(p) for p in prefixes[len(prefixes) // 2 :]]
+        monkeypatch.setattr(module, "_grid", lambda n: grid._replace(prefixes=prefixes))
+        t = random_table(14, np.random.default_rng(14))
+        code, out, err = run(capsys, "analyze", "--tt", t.to_hex(), *flags)
+        assert code == 2 and out == ""
+        assert err == "error: out of memory on a table of 14 variables (2**14 points)\n"
 
     def test_bare_memory_error_exits_2(self, capsys, monkeypatch):
         def exhausted(k, *args, **kwargs):

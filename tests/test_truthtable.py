@@ -177,10 +177,19 @@ class TestCodecs:
             from_hex("0xfg")
         with pytest.raises(ValueError, match="no digits"):
             from_hex("0x")
+        assert from_hex("0x1") == from_bitstring("0001")
+        # characters that bytes.fromhex refuses, named as the regex finds them
+        for text, char in [("0x\u0661\u0662", "\u0661"), ("0x\uff10\uff11", "\uff10"), ("0xgf", "g"), ("0x\xe9", "\xe9")]:
+            with pytest.raises(ValueError, match=re.escape(f"invalid hex character {char!r} at position 2")):
+                from_hex(text)
 
-    @pytest.mark.parametrize(("text", "position"), [("0x12 34", 4), ("0x12\n", 4)])
+    # bytes.fromhex skips whitespace between digit pairs, and refuses it inside one
+    @pytest.mark.parametrize(
+        ("text", "position"),
+        [("0x12 34", 4), ("0x12\n", 4), ("0x12\t34", 4), ("0x1234 ", 6), ("0x12  34", 4), ("0x1 2", 3), ("0x 123", 2)],
+    )
     def test_hex_rejects_whitespace(self, text, position):
-        with pytest.raises(ValueError, match=f"invalid hex character .* at position {position}"):
+        with pytest.raises(ValueError, match=re.escape(f"invalid hex character {text[position]!r} at position {position}")):
             from_hex(text)
 
     @given(truth_tables())
