@@ -23,7 +23,7 @@ import numpy as np
 from .anf import AnfTable, to_anf
 from .majority import iter_reports, majority, majority_report, run_length_string
 from .spectral import WalshSpectrum, check_weight_equals_nonlinearity, walsh_transform
-from .truthtable import TruthTable, check_same_vars, from_bitstring, from_hex, random_table
+from .truthtable import TruthTable, from_bitstring, from_hex, random_table
 
 _RUNLENGTH_MAX_K = 9
 # integers written per joined string, so no string of every entry is held
@@ -48,13 +48,10 @@ class AnalysisReport:
         return asdict(self)
 
 
-def analyze_table(t: TruthTable, spectrum: WalshSpectrum | None = None) -> AnalysisReport:
-    """The report on t; pass t's spectrum when it is already computed."""
-    if spectrum is None:
-        spectrum = walsh_transform(t)
-    check_same_vars(t.n, spectrum.n)
+def analyze_table(t: TruthTable) -> AnalysisReport:
+    """The report on t."""
     anf = to_anf(t)
-    return _report(t, spectrum, anf, anf.render())
+    return _report(t, walsh_transform(t), anf, anf.render())
 
 
 def _report(t: TruthTable, spectrum: WalshSpectrum, anf: AnfTable, anf_text: str) -> AnalysisReport:
@@ -112,42 +109,35 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     with _table_memory(t.n):
         spectrum = walsh_transform(t)
         anf = to_anf(t)
-        payload = _report(t, spectrum, anf, "").to_dict()
-        # the ANF is written a run at a time, with no joined copy of its
-        # text; every piece is built before the first byte is written, so an
+        record = _report(t, spectrum, anf, "").to_dict()
+        if args.spectrum:
+            record["walsh_spectrum"] = []
+        # one writer for both formats: the record's text holds an empty ANF
+        # and spectrum, and each is written after its marker, the ANF a run
+        # at a time with no joined copy and the spectrum a chunk at a time.
+        # json's escape scan of the ANF costs more than the rest of the dump,
+        # and its encoder writes a list one entry at a time; the ANF's
+        # alphabet, [0-9x +], needs no escape and the spectrum is plain
+        # integers, so both go into the JSON text as they are
+        if args.text:
+            text = "".join(f"{key}: {value}\n" for key, value in record.items())
+            anf_at, spectrum_at, sep, head, tail = "anf: ", "walsh_spectrum: [", ", ", "", ""
+        else:
+            text = json.dumps(record, indent=2) + "\n"
+            anf_at, spectrum_at, sep, head, tail = '"anf": "', '"walsh_spectrum": [', ",\n    ", "\n    ", "\n  "
+        # every piece is built before the first byte is written, so an
         # out-of-memory leaves stdout empty
         pieces = anf.render_pieces()
-        if args.text:
-            for key, value in payload.items():
-                if key == "anf":
-                    sys.stdout.write("anf: ")
-                    sys.stdout.writelines(pieces)
-                    sys.stdout.write("\n")
-                else:
-                    print(f"{key}:", value)
-            if args.spectrum:
-                sys.stdout.write("walsh_spectrum: [")
-                _write_joined(spectrum.values, ", ")
-                sys.stdout.write("]\n")
-        else:
-            # json's escape scan of the ANF costs more than the rest of the
-            # dump, and its encoder writes a list one entry at a time; the
-            # ANF's alphabet, [0-9x +], needs no escape and the spectrum is
-            # plain integers, so both are written into the dumped text as
-            # they are
-            if args.spectrum:
-                payload["walsh_spectrum"] = []
-            text = json.dumps(payload, indent=2)
-            at = text.index('"anf": "') + len('"anf": "')
-            sys.stdout.write(text[:at])
-            sys.stdout.writelines(pieces)
-            if args.spectrum:
-                end = text.index('"walsh_spectrum": [', at) + len('"walsh_spectrum": [')
-                sys.stdout.write(text[at:end] + "\n    ")
-                _write_joined(spectrum.values, ",\n    ")
-                sys.stdout.write("\n  ")
-                at = end
-            sys.stdout.write(text[at:] + "\n")
+        at = text.index(anf_at) + len(anf_at)
+        sys.stdout.write(text[:at])
+        sys.stdout.writelines(pieces)
+        if args.spectrum:
+            end = text.index(spectrum_at, at) + len(spectrum_at)
+            sys.stdout.write(text[at:end] + head)
+            _write_joined(spectrum.values, sep)
+            sys.stdout.write(tail)
+            at = end
+        sys.stdout.write(text[at:])
     return 0
 
 

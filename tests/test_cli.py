@@ -102,12 +102,6 @@ class TestAnalyze:
         assert code == 0 and len(calls) == 1
         assert out == json.dumps(expected, indent=2) + "\n"
 
-    # at n = 1 no small-weight check runs, so analyze_table checks the count itself
-    @pytest.mark.parametrize("n, other", [(1, 2), (4, 3)])
-    def test_spectrum_must_match_the_table(self, n, other):
-        with pytest.raises(ValueError, match=f"variable counts differ: {n} vs {other}"):
-            analyze_table(TruthTable(n, 1), walsh_transform(TruthTable(other, 1)))
-
     def test_small_weight_check_by_module_name(self, monkeypatch):
         # the traced benchmark wraps the check under this name
         module = importlib.import_module("boolfn.cli")
@@ -120,9 +114,8 @@ class TestAnalyze:
 
         monkeypatch.setattr(module, "check_weight_equals_nonlinearity", counted)
         t = from_bitstring(MAJ5)
-        spectrum = walsh_transform(t)
-        assert analyze_table(t, spectrum).weight_equals_nonlinearity == "not-applicable"
-        assert calls == [spectrum]
+        assert analyze_table(t).weight_equals_nonlinearity == "not-applicable"
+        assert [spectrum.n for spectrum in calls] == [t.n]
 
     def test_nonlinearity_read_once(self, monkeypatch):
         real = WalshSpectrum.nonlinearity
@@ -138,8 +131,9 @@ class TestAnalyze:
         assert report.nonlinearity == 2 and report.weight_equals_nonlinearity == "pass"
 
     # the ANF is written a run at a time, into the JSON text unescaped: the
-    # bytes must be json's own, and in both formats the ANF must be render()'s
-    # text, for a random table and both constants
+    # bytes must be json's own, the ANF must be render()'s text, and every
+    # --text line must be "key: value" of the report, in order, for a random
+    # table and both constants
     @pytest.mark.parametrize("n", range(17))
     @pytest.mark.parametrize("flags", [[], ["--spectrum"]], ids=["plain", "spectrum"])
     def test_json_output_is_json_dumps(self, capsys, n, flags):
@@ -152,7 +146,10 @@ class TestAnalyze:
             assert json.loads(out)["anf"] == analyze_table(t).anf
             code, out, _ = run(capsys, "analyze", "--tt", tt, "--text", *flags)
             assert code == 0
-            assert dict(line.split(": ", 1) for line in out.splitlines())["anf"] == analyze_table(t).anf
+            record = analyze_table(t).to_dict()
+            if flags:
+                record["walsh_spectrum"] = walsh_transform(t).values.tolist()
+            assert out == "".join(f"{key}: {value}\n" for key, value in record.items())
 
     # the spectrum is written a chunk at a time; every n above holds one chunk
     @pytest.mark.parametrize("chunk", [1, 3, 4, 16])
