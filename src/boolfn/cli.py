@@ -4,6 +4,15 @@ run the identity verification sweep, and benchmark the transform.
 stdout carries data (JSON by default), stderr carries diagnostics.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 or out of memory, 141 (128 + SIGPIPE) when the reader closes stdout early.
+
+Before a command allocates anything 2**n-sized it checks its estimate of
+the bytes it needs against the memory available (MemAvailable in
+/proc/meminfo, capped by the address space left under RLIMIT_AS), and
+exits 2 with one line naming n, the estimate and what is available when
+it does not fit.  The library functions never run that check.  analyze
+builds the ANF first, as small as the table, so its estimate can count the
+terms; without --spectrum it drops the spectrum once the record holds its
+fields, before the ANF's text is built.
 """
 
 from __future__ import annotations
@@ -21,9 +30,9 @@ from functools import cache
 import numpy as np
 
 from .anf import AnfTable, to_anf
-from .majority import iter_reports, majority, majority_report, run_length_string
+from .majority import VERIFY_MAX_K, iter_reports, majority, majority_report, run_length_string
 from .spectral import WalshSpectrum, check_weight_equals_nonlinearity, walsh_transform
-from .truthtable import TruthTable, from_bitstring, from_hex, random_table
+from .truthtable import TruthTable, check_vars, from_bitstring, from_hex, random_table
 
 _RUNLENGTH_MAX_K = 9
 # integers written per joined string, so no string of every entry is held
@@ -85,6 +94,42 @@ def _table_memory(n: int):
         raise MemoryError(f"out of memory on a table of {n} variables (2**{n} points)") from exc
 
 
+def _available_memory() -> int | None:
+    """Bytes this process can still allocate, or None where no figure can be
+    read.  MemAvailable in /proc/meminfo counts free memory and the page
+    cache the kernel can reclaim; where that cannot be read, the free
+    physical pages alone.  A limit on the address space (RLIMIT_AS, as
+    `ulimit -v` sets) caps it at the space left under the limit."""
+    import resource  # here, not at import: only a command about to allocate reads memory
+
+    page = os.sysconf("SC_PAGE_SIZE")
+    try:
+        with open("/proc/meminfo", "rb") as meminfo:
+            available = next(int(line.split()[1]) << 10 for line in meminfo if line.startswith(b"MemAvailable:"))
+    except (OSError, StopIteration):  # no /proc, or no MemAvailable line in it
+        if "SC_AVPHYS_PAGES" not in os.sysconf_names:
+            return None
+        available = os.sysconf("SC_AVPHYS_PAGES") * page
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY:
+        with open("/proc/self/statm", "rb") as statm:  # its first field: the pages mapped now
+            available = min(available, max(limit - int(statm.read().split()[0]) * page, 0))
+    return available
+
+
+def _check_memory(n: int, need: int) -> None:
+    """Raise MemoryError, with one line naming n, need and the bytes
+    available, when a command on a table of n variables needs more than
+    that; a command calls it before its 2**n-sized allocations.  Where no
+    figure can be read, nothing is checked."""
+    available = _available_memory()
+    if available is not None and need > available:
+        raise MemoryError(
+            f"not enough memory for a table of {n} variables (2**{n} points):"
+            f" about {need / 2**20:.1f} MiB needed, {available / 2**20:.1f} MiB available"
+        )
+
+
 def _parse_table(text: str, expect_n: int | None) -> TruthTable:
     """Text that starts with 0x or 0X is hex, any other text '0'/'1' text."""
     t = from_hex(text) if text.startswith(("0x", "0X")) else from_bitstring(text)
@@ -106,12 +151,26 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # "-" reads the table from stdin: past n = 18 its text is too long for argv
     text = sys.stdin.read().rstrip() if args.tt == "-" else args.tt
     t = _parse_table(text, args.n)
+    anf = to_anf(t)  # packed, as small as the table
+    # the bytes the rest needs: the int32 spectrum, 4 a point; the
+    # coefficient read, 2 a point, an 8-byte cell per term and ~32 a run of
+    # its name grid, which has up to (n / 2) * 2**ceil(n / 2) runs; the
+    # render, an 8-byte name per term and the text, " + " and the mean name
+    # over all 2**n monomials, half of x1x2...xn; and 640 KiB of fixed-size
+    # buffers and heap that the allocator keeps.  The spectrum and the render
+    # are not both held without --spectrum, so a dense table, whose render
+    # is most of it, peaks at ~0.8 of the estimate
+    terms = TruthTable.from_packed(t.n, anf.packed).weight()
+    full_name = sum(len(f"x{v}") for v in range(1, t.n + 1))
+    grid = t.n << (t.n + 1) // 2 + 4
+    _check_memory(t.n, (6 << t.n) + terms * (38 + full_name) // 2 + grid + (640 << 10))
     with _table_memory(t.n):
         spectrum = walsh_transform(t)
-        anf = to_anf(t)
         record = _report(t, spectrum, anf, "").to_dict()
         if args.spectrum:
             record["walsh_spectrum"] = []
+        else:
+            del spectrum  # the record holds its fields: the render gets its memory
         # one writer for both formats: the record's text holds an empty ANF
         # and spectrum, and each is written after its marker, the ANF a run
         # at a time with no joined copy and the spectrum a chunk at a time.
@@ -144,7 +203,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_majority(args: argparse.Namespace) -> int:
     k = args.k
     if args.report:
-        rep = majority_report(k)  # raises for k outside 4..VERIFY_MAX_K
+        if 4 <= k <= VERIFY_MAX_K:  # outside it, majority_report's range error
+            _check_memory(k, 9 << k >> 1)  # as verify's last report
+        rep = majority_report(k)
         print(json.dumps(rep.to_dict(), indent=2))
         return 0 if rep.all_passed() else 1
     if args.runlength:
@@ -158,7 +219,12 @@ def _cmd_majority(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     failures = []
-    for rep in iter_reports(args.max_k):
+    reports = iter_reports(args.max_k)  # checks the range; the sweep's buffer is not yet written
+    # 4.5 bytes a point of majority(k_max): the sweep's int32 buffer, the
+    # table, its halves and quarters, and the walks' buffers (measured: the
+    # peak at k_max = 24 is 72.0 MiB over the RSS here)
+    _check_memory(args.max_k, 9 << args.max_k >> 1)
+    for rep in reports:
         if not rep.all_passed():
             failures.append(rep.k)
         if args.json:
@@ -184,6 +250,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ValueError("--reps must be positive")
+    _check_memory(check_vars(args.n), 9 << args.n >> 1)  # the spectrum, the table and buffers
     rng = np.random.default_rng(args.seed)
     times = []
     with _table_memory(args.n):

@@ -173,18 +173,10 @@ class TruthTable:
     def size(self) -> int:
         return 1 << self.n
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.size:
-            raise ValueError(f"table index {i} outside 0..{self.size - 1}")
-        return self.packed[i >> 3] >> (i & 7) & 1
-
     def weight(self) -> int:
         if self.n <= 6:  # one 64-bit word at most: one int, where numpy's per-call cost would dominate
             return self.bits.bit_count()
         return int(np.bitwise_count(np.frombuffer(self.packed, dtype="<u8")).sum())
-
-    def is_balanced(self) -> bool:
-        return 2 * self.weight() == self.size
 
     def distance(self, other: TruthTable) -> int:
         """Hamming distance: number of table positions where the two differ."""
@@ -235,10 +227,6 @@ class TruthTable:
         if size < 4:
             raise ValueError("hex format needs a table of at least 4 bits")
         return "0x" + self.packed.translate(_BYTE_REVERSE).hex()[: size // 4]
-
-    def to_array(self) -> np.ndarray:
-        """Table entries as a uint8 array of 0/1, entry i at position i."""
-        return unpack_bits(self.packed, self.size)
 
 
 def from_bitstring(s: str) -> TruthTable:

@@ -28,6 +28,7 @@ from boolfn import (
     walsh_transform,
 )
 from boolfn.majority import _right_half_nonlinearity_forms
+from boolfn.truthtable import unpack_bits
 
 MAJ5 = "00000001000101110001011101111111"
 MAJ6 = (
@@ -209,7 +210,7 @@ def test_criterion_11_spectral_invariants_and_definition():
         for _ in range(100):
             bits = int.from_bytes(rng.bytes((size + 7) // 8), "little") & ((1 << size) - 1)
             t = TruthTable(n, bits)
-            direct = hadamard @ (1 - 2 * t.to_array().astype(np.int64))
+            direct = hadamard @ (1 - 2 * unpack_bits(t.packed, t.size).astype(np.int64))
             ok = ok and np.array_equal(checked_spectrum(t).values, direct)
     report(11, "transform equals definition, 100 random tables per n <= 10", ok)
 

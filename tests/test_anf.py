@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from boolfn import AnfTable, TruthTable, from_bitstring, random_table, to_anf
 from boolfn.anf import _grid
-from boolfn.truthtable import pack_bits
+from boolfn.truthtable import pack_bits, unpack_bits
 
 from conftest import truth_tables
 
@@ -30,10 +30,11 @@ def definition_render(t: TruthTable) -> str:
     m is the XOR of f over the points below m; terms sorted by
     (-len(vars), vars)."""
     terms = []
+    bits = unpack_bits(t.packed, t.size)
     for m in range(t.size):
         coeff, sub = 0, m
         while True:
-            coeff ^= t.bit(sub)
+            coeff ^= int(bits[sub])
             if sub == 0:
                 break
             sub = (sub - 1) & m
@@ -79,8 +80,9 @@ class TestMobius:
     @settings(max_examples=60)
     def test_pointwise_evaluation(self, t):
         a = to_anf(t)
+        bits = unpack_bits(t.packed, t.size)
         for x in range(t.size):
-            assert evaluate_anf(a, x) == t.bit(x)
+            assert evaluate_anf(a, x) == bits[x]
 
     @given(truth_tables(min_n=1))
     def test_concat_coefficient_split(self, t):
@@ -117,7 +119,8 @@ class TestByteKernel:
         for n in range(5):
             t = random_table(n, np.random.default_rng(n))
             subsets = [[x for x in range(t.size) if x & m == x] for m in range(t.size)]
-            definition = [sum(t.bit(x) for x in xs) % 2 for xs in subsets]
+            bits = unpack_bits(t.packed, t.size)
+            definition = [int(sum(bits[x] for x in xs)) % 2 for xs in subsets]
             assert reference_coefficients(t).tolist() == definition
 
     @pytest.mark.parametrize("n", range(4))

