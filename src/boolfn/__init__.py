@@ -11,7 +11,6 @@ from __future__ import annotations
 from .anf import AffineSpec, AnfTable, affine_table, to_anf
 from .majority import (
     BINOMIAL_MAX,
-    VERIFY_MAX_K,
     IdentityResult,
     MajorityReport,
     binomial,
@@ -56,7 +55,6 @@ __all__ = [
     "MajorityReport",
     "SpectrumSweep",
     "TruthTable",
-    "VERIFY_MAX_K",
     "WalshSpectrum",
     "WeightNonlinearityCheck",
     "affine_table",

@@ -9,7 +9,11 @@ Before a command allocates anything 2**n-sized it checks its estimate of
 the bytes it needs against the memory available (MemAvailable in
 /proc/meminfo, capped by the address space left under RLIMIT_AS), and
 exits 2 with one line naming n, the estimate and what is available when
-it does not fit.  The library functions never run that check.  analyze
+it does not fit.  The library functions never run that check.  verify and
+majority --report first check k against 4..max_vars() (check_vars(k, 4)),
+so a count out of range gets the range message, not the preflight's;
+verify checks before iter_reports reserves the sweep's buffer, which
+RLIMIT_AS would otherwise count against the limit twice.  analyze
 builds the ANF first, as small as the table, so its estimate can count the
 terms; without --spectrum it drops the spectrum once the record holds its
 fields, before the ANF's text is built.
@@ -30,7 +34,7 @@ from functools import cache
 import numpy as np
 
 from .anf import AnfTable, to_anf
-from .majority import VERIFY_MAX_K, iter_reports, majority, majority_report, run_length_string
+from .majority import iter_reports, majority, majority_report, run_length_string
 from .spectral import WalshSpectrum, check_weight_equals_nonlinearity, walsh_transform
 from .truthtable import TruthTable, check_vars, from_bitstring, from_hex, random_table
 
@@ -203,8 +207,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_majority(args: argparse.Namespace) -> int:
     k = args.k
     if args.report:
-        if 4 <= k <= VERIFY_MAX_K:  # outside it, majority_report's range error
-            _check_memory(k, 9 << k >> 1)  # as verify's last report
+        _check_memory(check_vars(k, 4), 9 << k >> 1)  # as verify's last report
         rep = majority_report(k)
         print(json.dumps(rep.to_dict(), indent=2))
         return 0 if rep.all_passed() else 1
@@ -218,13 +221,12 @@ def _cmd_majority(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    failures = []
-    reports = iter_reports(args.max_k)  # checks the range; the sweep's buffer is not yet written
     # 4.5 bytes a point of majority(k_max): the sweep's int32 buffer, the
     # table, its halves and quarters, and the walks' buffers (measured: the
     # peak at k_max = 24 is 72.0 MiB over the RSS here)
-    _check_memory(args.max_k, 9 << args.max_k >> 1)
-    for rep in reports:
+    _check_memory(check_vars(args.max_k, 4), 9 << args.max_k >> 1)
+    failures = []
+    for rep in iter_reports(args.max_k):
         if not rep.all_passed():
             failures.append(rep.k)
         if args.json:

@@ -9,7 +9,9 @@ exact binomial closed forms.  verify_identities() rebuilds every table
 and checks each identity bit-exactly or integer-exactly against measured
 values.  A report states each identity once, as a row (name, observed,
 expected): observed is a non-empty tuple of measured values, and the row
-passes iff every one of them equals expected.
+passes iff every one of them equals expected.  Reports run for k in
+4..max_vars(), checked by check_vars(k, 4); whether a report fits in memory
+is not checked here (the CLI's preflight does that).
 
 A report measures majority(k) through the spectra of its two halves,
 which a SpectrumSweep writes into its buffer.  One of them is
@@ -38,7 +40,6 @@ import numpy as np
 from .spectral import SpectrumSweep, brute_force_nonlinearity, concat_nonlinearity, walsh_transform
 from .truthtable import TruthTable, check_vars, concat
 
-VERIFY_MAX_K = 24  # spectrum-verified range; closed forms alone go to BINOMIAL_MAX
 BINOMIAL_MAX = 64
 _BRUTE_FORCE_MAX_K = 15
 
@@ -213,11 +214,10 @@ def majority_report(k: int, sweep: SpectrumSweep | None = None) -> MajorityRepor
 
     The halves' spectra are written into sweep, a new SpectrumSweep(k) when
     none is given; in a sweep that carries majority(k - 1), that half's
-    spectrum comes from the previous report's.  The report is the same."""
-    if not 4 <= k <= VERIFY_MAX_K:
-        raise ValueError(f"report range is 4..{VERIFY_MAX_K}, got {k}")
-
-    m = majority(k)
+    spectrum comes from the previous report's.  The report is the same.
+    k outside 4..max_vars() is a ValueError, raised before any table is
+    built."""
+    m = majority(check_vars(k, 4))
     weight = m.weight()
     # N(m) from its halves' spectra: m's own 2**k-point spectrum is never built
     w_a, w_b = (sweep or SpectrumSweep(k)).half_spectra(m)
@@ -269,11 +269,10 @@ def majority_report(k: int, sweep: SpectrumSweep | None = None) -> MajorityRepor
 
 def iter_reports(k_max: int) -> Iterator[MajorityReport]:
     """Reports for k = 4..k_max, each built when the caller asks for it; the
-    range is checked at the call.  A failed identity never raises, it is
-    recorded in the report."""
-    if not 4 <= k_max <= VERIFY_MAX_K:
-        raise ValueError(f"verification range is 4..{VERIFY_MAX_K}, got {k_max}")
-    sweep = SpectrumSweep(k_max)  # majority(k_max) is the largest table; refuse it before the first report
+    range, 4..max_vars(), is checked at the call, before the sweep's buffer
+    is reserved.  A failed identity never raises, it is recorded in the
+    report."""
+    sweep = SpectrumSweep(check_vars(k_max, 4))  # majority(k_max) is the largest table
     return (majority_report(k, sweep) for k in range(4, k_max + 1))
 
 

@@ -27,6 +27,7 @@ from boolfn import (
     from_bitstring,
     majority,
     majority_report,
+    max_vars,
     random_table,
     to_anf,
     verify_identities,
@@ -259,7 +260,7 @@ class TestMajority:
 
     def test_report_range(self, capsys):
         code, _, err = run(capsys, "majority", "3", "--report")
-        assert code == 2 and "4..24" in err
+        assert code == 2 and "variable count 3 outside 4..30" in err
 
 
 class TestVerify:
@@ -295,14 +296,14 @@ class TestVerify:
 
     def test_low_bound_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--max-k", "3")
-        assert code == 2 and "4..24" in err
+        assert code == 2 and "variable count 3 outside 4..30" in err
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_cap_is_checked_before_the_first_report(self, capsys, monkeypatch, as_json):
         monkeypatch.setenv("BOOLFN_MAX_N", "8")
         code, out, err = run(capsys, "verify", "--max-k", "12", *(["--json"] if as_json else []))
         assert code == 2 and out == ""
-        assert "variable count 12 outside 0..8" in err
+        assert "variable count 12 outside 4..8" in err
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_failed_identity_exits_1(self, capsys, monkeypatch, as_json):
@@ -320,6 +321,53 @@ class TestVerify:
             assert json.loads(out.splitlines()[-1])["summary"]["failed_k"] == [5]
         else:
             assert out.splitlines()[1].endswith("FAIL failed=forced") and "FAILURES at k=[5]" in out
+
+
+class TestReportRange:
+    """verify and majority --report take k in 4..max_vars(), checked by
+    check_vars(k, 4) before the memory preflight.  BOOLFN_MAX_N lowers the cap
+    to 10, so no test here builds a sweep past 2**10 points."""
+
+    def test_verify_runs_at_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("BOOLFN_MAX_N", "10")
+        code, out, err = run(capsys, "verify", "--max-k", "10", "--json")
+        *records, last = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and err == ""
+        assert [rec["k"] for rec in records] == list(range(4, 11))
+        assert last["summary"] == {"k_min": 4, "k_max": 10, "all_passed": True, "failed_k": []}
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--max-k", "11"], ["majority", "11", "--report"]], ids=["verify", "majority"]
+    )
+    def test_one_past_the_cap_is_a_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("BOOLFN_MAX_N", "10")
+        assert run(capsys, *argv) == (2, "", "error: variable count 11 outside 4..10\n")
+
+    # with no memory to spare, a count out of range still gets the range
+    # message: the preflight never sees it
+    @pytest.mark.parametrize("k", ["99", "3", "-1"])
+    @pytest.mark.parametrize("command", ["verify", "majority"])
+    def test_range_is_checked_before_the_memory(self, capsys, monkeypatch, command, k):
+        monkeypatch.setattr(CLI, "_available_memory", lambda: 0)
+        argv = ["verify", "--max-k", k] if command == "verify" else ["majority", k, "--report"]
+        assert run(capsys, *argv) == (2, "", f"error: variable count {k} outside 4..{max_vars()}\n")
+
+    # the preflight runs before iter_reports reserves the sweep's buffer,
+    # which RLIMIT_AS would count against the limit a second time
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--max-k", "12"], ["majority", "12", "--report"]], ids=["verify", "majority"]
+    )
+    def test_preflight_refuses_before_the_sweep_is_built(self, capsys, monkeypatch, argv):
+        module = importlib.import_module("boolfn.majority")  # boolfn.majority is the function
+        built, sweep = [], module.SpectrumSweep
+        monkeypatch.setattr(module, "SpectrumSweep", lambda k_max: built.append(k_max) or sweep(k_max))
+        need = 9 * 2**12 // 2
+        monkeypatch.setattr(CLI, "_available_memory", lambda: need - 1)
+        assert run(capsys, *argv) == (2, "", not_enough(12, need, need - 1))
+        assert built == []
+        monkeypatch.setattr(CLI, "_available_memory", lambda: need)
+        assert run(capsys, *argv)[0] == 0
+        assert built == [12]
 
 
 class TestBench:

@@ -10,7 +10,6 @@ import pytest
 
 from boolfn import (
     BINOMIAL_MAX,
-    VERIFY_MAX_K,
     SpectrumSweep,
     TruthTable,
     binomial,
@@ -19,6 +18,7 @@ from boolfn import (
     left_half,
     majority,
     majority_report,
+    max_vars,
     predicted_left_half_weight,
     predicted_nonlinearity,
     predicted_quarter_half_weights,
@@ -228,10 +228,20 @@ class TestReports:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             majority_report(3)
-        with pytest.raises(ValueError):
-            majority_report(VERIFY_MAX_K + 1)
-        with pytest.raises(ValueError):
-            verify_identities(25)
+        with pytest.raises(ValueError, match=f"variable count {max_vars() + 1} outside 4..{max_vars()}"):
+            majority_report(max_vars() + 1)
+        with pytest.raises(ValueError, match=f"variable count {max_vars() + 1} outside 4..{max_vars()}"):
+            verify_identities(max_vars() + 1)
+
+    # the low bound is checked at the call, before the sweep's buffer is reserved
+    @pytest.mark.parametrize("k_max", [3, -1])
+    def test_low_bound_is_checked_before_the_sweep(self, monkeypatch, k_max):
+        module = importlib.import_module("boolfn.majority")  # boolfn.majority is the function
+        monkeypatch.setattr(module, "SpectrumSweep", lambda k: pytest.fail("the sweep was built"))
+        with pytest.raises(ValueError, match=f"variable count {k_max} outside 4..{max_vars()}"):
+            iter_reports(k_max)
+        with pytest.raises(ValueError, match=f"variable count {k_max} outside 4..{max_vars()}"):
+            majority_report(k_max)
 
     def test_report_shape(self):
         rep = majority_report(6)
