@@ -5,18 +5,24 @@ stdout carries data (JSON by default), stderr carries diagnostics.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 or out of memory, 141 (128 + SIGPIPE) when the reader closes stdout early.
 
-Before a command allocates anything 2**n-sized it checks its estimate of
-the bytes it needs against the memory available (MemAvailable in
-/proc/meminfo, capped by the address space left under RLIMIT_AS), and
-exits 2 with one line naming n, the estimate and what is available when
-it does not fit.  The library functions never run that check.  verify and
-majority --report first check k against 4..max_vars() (check_vars(k, 4)),
-so a count out of range gets the range message, not the preflight's;
-verify checks before iter_reports reserves the sweep's buffer, which
-RLIMIT_AS would otherwise count against the limit twice.  analyze
-builds the ANF first, as small as the table, so its estimate can count the
-terms; without --spectrum it drops the spectrum once the record holds its
-fields, before the ANF's text is built.
+Every command that allocates 2**n-sized state (analyze, bench, verify and
+majority K, with or without --report) runs it inside one memory guard,
+_table_memory(n, need), entered once, after the command's own range check.
+On entry the guard checks the command's estimate of the bytes it needs
+against the memory available (MemAvailable in /proc/meminfo, capped by the
+address space left under RLIMIT_AS), and exits 2 with one line naming n,
+the estimate and what is available when it does not fit; inside it, a
+MemoryError becomes one line naming n.  A MemoryError raised before the
+guard, in analyze's parse or in the ANF build whose terms its estimate
+counts, stays a bare "out of memory".  The library functions never read
+the memory.  verify and majority --report check k against 4..max_vars()
+(check_vars(k, 4)) and majority K against 1..max_vars(), so a count out of
+range gets the range message, not the guard's; verify enters the guard
+before iter_reports reserves the sweep's buffer, which RLIMIT_AS would
+otherwise count against the limit twice.  analyze builds the ANF first, as
+small as the table, so its estimate can count the terms; without
+--spectrum it drops the spectrum once the record holds its fields, before
+the ANF's text is built.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import os
 import statistics
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from functools import cache
 
@@ -89,21 +95,14 @@ def _report(t: TruthTable, spectrum: WalshSpectrum, anf: AnfTable, anf_text: str
     )
 
 
-@contextmanager
-def _table_memory(n: int):
-    """Name the table size in a MemoryError raised inside the block."""
-    try:
-        yield
-    except MemoryError as exc:
-        raise MemoryError(f"out of memory on a table of {n} variables (2**{n} points)") from exc
-
-
 def _available_memory() -> int | None:
     """Bytes this process can still allocate, or None where no figure can be
     read.  MemAvailable in /proc/meminfo counts free memory and the page
     cache the kernel can reclaim; where that cannot be read, the free
     physical pages alone.  A limit on the address space (RLIMIT_AS, as
-    `ulimit -v` sets) caps it at the space left under the limit."""
+    `ulimit -v` sets) caps it at the space left under the limit, or at the
+    limit itself where the pages mapped now (/proc/self/statm) cannot be
+    read."""
     import resource  # here, not at import: only a command about to allocate reads memory
 
     page = os.sysconf("SC_PAGE_SIZE")
@@ -116,22 +115,31 @@ def _available_memory() -> int | None:
         available = os.sysconf("SC_AVPHYS_PAGES") * page
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     if limit != resource.RLIM_INFINITY:
-        with open("/proc/self/statm", "rb") as statm:  # its first field: the pages mapped now
-            available = min(available, max(limit - int(statm.read().split()[0]) * page, 0))
+        mapped = 0  # where there is no /proc, the limit alone caps it
+        with suppress(OSError), open("/proc/self/statm", "rb") as statm:  # its first field: the pages mapped now
+            mapped = int(statm.read().split()[0]) * page
+        available = min(available, max(limit - mapped, 0))
     return available
 
 
-def _check_memory(n: int, need: int) -> None:
-    """Raise MemoryError, with one line naming n, need and the bytes
-    available, when a command on a table of n variables needs more than
-    that; a command calls it before its 2**n-sized allocations.  Where no
-    figure can be read, nothing is checked."""
+@contextmanager
+def _table_memory(n: int, need: int):
+    """The one memory guard of a command on a table of n variables, entered
+    once, after its range check and before its 2**n-sized allocations.  On
+    entry it raises MemoryError, with one line naming n, need and the bytes
+    available, when need is more than that (where no figure can be read,
+    nothing is checked); inside the block, a MemoryError is renamed to one
+    that names n."""
     available = _available_memory()
     if available is not None and need > available:
         raise MemoryError(
             f"not enough memory for a table of {n} variables (2**{n} points):"
             f" about {need / 2**20:.1f} MiB needed, {available / 2**20:.1f} MiB available"
         )
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"out of memory on a table of {n} variables (2**{n} points)") from exc
 
 
 def _parse_table(text: str, expect_n: int | None) -> TruthTable:
@@ -167,8 +175,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     terms = TruthTable.from_packed(t.n, anf.packed).weight()
     full_name = sum(len(f"x{v}") for v in range(1, t.n + 1))
     grid = t.n << (t.n + 1) // 2 + 4
-    _check_memory(t.n, (6 << t.n) + terms * (38 + full_name) // 2 + grid + (640 << 10))
-    with _table_memory(t.n):
+    with _table_memory(t.n, (6 << t.n) + terms * (38 + full_name) // 2 + grid + (640 << 10)):
         spectrum = walsh_transform(t)
         record = _report(t, spectrum, anf, "").to_dict()
         if args.spectrum:
@@ -207,8 +214,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_majority(args: argparse.Namespace) -> int:
     k = args.k
     if args.report:
-        _check_memory(check_vars(k, 4), 9 << k >> 1)  # as verify's last report
-        rep = majority_report(k)
+        with _table_memory(check_vars(k, 4), 9 << k >> 1):  # as verify's last report
+            rep = majority_report(k)
         print(json.dumps(rep.to_dict(), indent=2))
         return 0 if rep.all_passed() else 1
     if args.runlength:
@@ -216,7 +223,11 @@ def _cmd_majority(args: argparse.Namespace) -> int:
             raise ValueError(f"run-length display supports 1..{_RUNLENGTH_MAX_K} variables")
         print(run_length_string(majority(k)))
         return 0
-    print(majority(k).to_bitstring())
+    # 2.3 bytes a point: the packed table, 1/8; its int, 2/15 (30-bit digits
+    # in 4 bytes); the bitstring's format text and its reversal, 1 each
+    # (measured: 2.25-2.27 bytes a point over the RSS at import, k = 24..28)
+    with _table_memory(check_vars(k, 1), (23 << k) // 10):
+        print(majority(k).to_bitstring())
     return 0
 
 
@@ -224,23 +235,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # 4.5 bytes a point of majority(k_max): the sweep's int32 buffer, the
     # table, its halves and quarters, and the walks' buffers (measured: the
     # peak at k_max = 24 is 72.0 MiB over the RSS here)
-    _check_memory(check_vars(args.max_k, 4), 9 << args.max_k >> 1)
     failures = []
-    for rep in iter_reports(args.max_k):
-        if not rep.all_passed():
-            failures.append(rep.k)
-        if args.json:
-            print(json.dumps(rep.to_dict()), flush=True)
-        else:
-            failed = [r.name for r in rep.identities if not r.passed]
-            status = f"FAIL failed={','.join(failed)}" if failed else "PASS"
-            passed = len(rep.identities) - len(failed)
-            print(
-                f"k={rep.k:2d}  weight={rep.weight}  N={rep.nonlinearity}"
-                f"  predicted={rep.predicted}  oracle={rep.oracle}"
-                f"  identities={passed}/{len(rep.identities)}  {status}",
-                flush=True,
-            )
+    with _table_memory(check_vars(args.max_k, 4), 9 << args.max_k >> 1):
+        for rep in iter_reports(args.max_k):
+            if not rep.all_passed():
+                failures.append(rep.k)
+            if args.json:
+                print(json.dumps(rep.to_dict()), flush=True)
+            else:
+                failed = [r.name for r in rep.identities if not r.passed]
+                status = f"FAIL failed={','.join(failed)}" if failed else "PASS"
+                passed = len(rep.identities) - len(failed)
+                print(
+                    f"k={rep.k:2d}  weight={rep.weight}  N={rep.nonlinearity}"
+                    f"  predicted={rep.predicted}  oracle={rep.oracle}"
+                    f"  identities={passed}/{len(rep.identities)}  {status}",
+                    flush=True,
+                )
     summary = {"k_min": 4, "k_max": args.max_k, "all_passed": not failures, "failed_k": failures}
     if args.json:
         print(json.dumps({"summary": summary}))
@@ -252,10 +263,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ValueError("--reps must be positive")
-    _check_memory(check_vars(args.n), 9 << args.n >> 1)  # the spectrum, the table and buffers
-    rng = np.random.default_rng(args.seed)
     times = []
-    with _table_memory(args.n):
+    with _table_memory(check_vars(args.n), 9 << args.n >> 1):  # the spectrum, the table and buffers
+        rng = np.random.default_rng(args.seed)
         for _ in range(args.reps):
             t = random_table(args.n, rng)
             start = time.perf_counter()

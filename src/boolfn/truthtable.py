@@ -12,7 +12,9 @@ whose unused high bits are clear, so equal tables have equal bytes.
 Weight and distance are popcounts of the bytes, and the structural
 operations slice, join, XOR and bit-reverse them, with no Python int in
 between.  t.bits is the same table as one int, entry i at bit i, for
-callers that want an int; no kernel reads it.
+callers that want an int and for the binary codec: to_bitstring formats
+it, and from_bitstring parses its text as one int, int(s[::-1], 2).  No
+other kernel reads or builds it.
 
 A table has 0..max_vars() variables (30 unless BOOLFN_MAX_N lowers it).
 Each rule on packed tables lives in one function here:
@@ -26,18 +28,19 @@ Each rule on packed tables lives in one function here:
 - check_same_vars() refuses two operands on different variable counts.
 - pack_bits() turns a packed int into its bytes, the one int-to-bytes
   conversion: TruthTable(n, bits) and anf.AnfTable(n, coeffs) pack through
-  it once, and every kernel (the codecs, the Walsh kernel, the oracle, the
-  Moebius transform) reads the packed bytes.  unpack_bits() turns packed
-  bytes into a 0/1 array.
+  it once, and every kernel but the binary codec (the hex codec, the
+  Walsh kernel, the oracle, the Moebius transform) reads the packed
+  bytes.  unpack_bits() turns packed bytes into a 0/1 array.
 
 from_bitstring() checks its text with one regex search.  from_hex() checks
-its text with bytes.fromhex alone, which decodes it in the same read; only
-text that fromhex refuses, or shortens by skipping whitespace, is searched
-by a regex, to name the first bad character and its position.
+its text with binascii.unhexlify alone, which decodes it in the same read
+and, unlike bytes.fromhex, refuses whitespace; only text that it refuses
+is searched by a regex, to name the first bad character and its position.
 """
 
 from __future__ import annotations
 
+import binascii
 import os
 import re
 from dataclasses import dataclass
@@ -250,14 +253,10 @@ def from_hex(s: str) -> TruthTable:
         raise ValueError("hex table text must start with '0x'")
     digits = s[2:]
     try:
-        raw = bytes.fromhex(digits + "0" * (len(digits) % 2))  # one digit: the 4-entry table
-    except ValueError:
-        raw = b""
-    # fromhex skips whitespace between pairs, so a short result is bad text
-    # too; only then is the text read again, to name the first bad character
-    if len(raw) < (len(digits) + 1) // 2:
-        bad = _NON_HEX.search(digits)
-        raise ValueError(f"invalid hex character {bad.group()!r} at position {bad.start() + 2}")
+        raw = binascii.unhexlify(digits + "0" * (len(digits) % 2))  # one digit: the 4-entry table
+    except ValueError:  # binascii.Error for a non-hex digit, ValueError for non-ASCII text
+        bad = _NON_HEX.search(digits)  # read again only now, to name the first bad character
+        raise ValueError(f"invalid hex character {bad.group()!r} at position {bad.start() + 2}") from None
     if not digits:
         raise ValueError("hex table text has no digits")
     n = _table_vars(4 * len(digits))

@@ -436,12 +436,23 @@ class TestParser:
 
 
 class TestOutOfMemory:
-    @pytest.mark.parametrize("argv", [["analyze", "--tt", MAJ5], ["bench", "5", "--reps", "2"]])
+    # every command that allocates 2**n-sized state runs it inside the guard
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--tt", MAJ5],
+            ["bench", "5", "--reps", "2"],
+            ["verify", "--max-k", "5"],
+            ["majority", "5", "--report"],
+            ["majority", "5"],
+        ],
+    )
     def test_exits_2_naming_the_variable_count(self, capsys, monkeypatch, argv):
-        def exhausted(table):
+        def exhausted(*args):
             raise MemoryError("Unable to allocate 128. B for an array with shape (32,) and data type int32")
 
-        monkeypatch.setattr(importlib.import_module("boolfn.cli"), "walsh_transform", exhausted)
+        for name in ("walsh_transform", "iter_reports", "majority_report", "majority"):
+            monkeypatch.setattr(CLI, name, exhausted)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: out of memory on a table of 5 variables (2**5 points)\n"
@@ -464,12 +475,13 @@ class TestOutOfMemory:
         assert code == 2 and out == ""
         assert err == "error: out of memory on a table of 14 variables (2**14 points)\n"
 
+    # the parse runs before n is known, outside every guard
     def test_bare_memory_error_exits_2(self, capsys, monkeypatch):
-        def exhausted(k, *args, **kwargs):
+        def exhausted(text):
             raise MemoryError
 
-        monkeypatch.setattr(importlib.import_module("boolfn.majority"), "majority_report", exhausted)
-        code, out, err = run(capsys, "verify", "--max-k", "4")
+        monkeypatch.setattr(CLI, "from_hex", exhausted)
+        code, out, err = run(capsys, "analyze", "--tt", "0x17")
         assert code == 2 and out == ""
         assert err == "error: out of memory\n"
 
@@ -500,6 +512,8 @@ def preflight_case(name: str) -> tuple[list[str], int, int]:
         return ["analyze", "--tt", tt, *flags], n, analyze_estimate(t)
     argv = name.split()
     n = int(argv[-1] if argv[0] == "verify" else argv[1])
+    if argv[0] == "majority" and "--report" not in argv:
+        return argv, n, 23 * 2**n // 10  # the packed table, its int, the bitstring and its reversal
     return argv, n, 9 * 2**n // 2  # the sweep's or the transform's buffer, the table and the rest
 
 
@@ -520,6 +534,7 @@ PREFLIGHT_CASES = [
     "verify --max-k 9",
     "bench 12 --reps 1",
     "majority 9 --report",
+    "majority 9",
 ]
 PREFLIGHT_IDS = [case.replace(" --", "-").replace(" ", "-") for case in PREFLIGHT_CASES]
 
@@ -531,15 +546,23 @@ class TestMemoryPreflight:
         monkeypatch.setattr(CLI, "_available_memory", lambda: need - 1)
         calls = count_transforms(monkeypatch)  # and under the name the CLI calls it by:
         monkeypatch.setattr(CLI, "walsh_transform", importlib.import_module("boolfn.spectral").walsh_transform)
+        # the table builders: every majority table, and bench's random tables
+        built, module = [], importlib.import_module("boolfn.majority")  # boolfn.majority is the function
+        threshold = module.threshold
+        monkeypatch.setattr(module, "threshold", lambda *args: built.append(args) or threshold(*args))
+        monkeypatch.setattr(CLI, "random_table", lambda *args: built.append(args) or random_table(*args))
         assert run(capsys, *argv) == (2, "", not_enough(n, need, need - 1))
-        assert calls == []
+        assert calls == [] and built == []
 
     @pytest.mark.parametrize("case", PREFLIGHT_CASES, ids=PREFLIGHT_IDS)
     def test_runs_at_the_estimate(self, capsys, monkeypatch, case):
         argv, _, need = preflight_case(case)
-        # no figure to read: the run is not checked
-        monkeypatch.setattr(CLI, "_available_memory", lambda: None)
+        # no figure to read: the run is not checked.  One guard per command,
+        # so the memory is read once
+        reads = []
+        monkeypatch.setattr(CLI, "_available_memory", lambda: reads.append(case))  # None
         expected = run(capsys, *argv)
+        assert reads == [case]
         monkeypatch.setattr(CLI, "_available_memory", lambda: need)
         code, out, err = run(capsys, *argv)
         assert expected[0] == 0
@@ -586,7 +609,7 @@ class TestMemoryPreflight:
     @pytest.mark.parametrize("message", ["", "Unable to allocate 4.00 GiB", not_enough(7, 1 << 20, 0)])
     def test_table_memory_rewrites_every_memory_error(self, message):
         with pytest.raises(MemoryError) as info:
-            with CLI._table_memory(7):
+            with CLI._table_memory(7, 0):
                 raise MemoryError(message)
         assert str(info.value) == "out of memory on a table of 7 variables (2**7 points)"
 
@@ -633,6 +656,21 @@ class TestAvailableMemory:
         host.files["/proc/self/statm"] = f"{mapped_pages} 100 50 1 0 80 0\n".encode()
         host.limit = 1 << 22
         assert CLI._available_memory() == expected
+
+    # a host without /proc/self/statm: the limit alone caps it, with no raise
+    @pytest.mark.parametrize("limit, expected", [(1 << 30, 1 << 30), (1 << 20, 1 << 20), (1 << 40, 8000000 << 10)])
+    def test_capped_by_the_limit_where_the_mapped_pages_cannot_be_read(self, host, limit, expected):
+        host.files["/proc/meminfo"] = b"MemAvailable: 8000000 kB\n"
+        host.files["/proc/self/statm"] = None
+        host.limit = limit
+        assert CLI._available_memory() == expected
+
+    def test_a_command_runs_where_the_mapped_pages_cannot_be_read(self, host, capsys):
+        host.files["/proc/meminfo"] = b"MemAvailable: 8000000 kB\n"
+        host.files["/proc/self/statm"] = None
+        host.limit = 1 << 30
+        code, out, err = run(capsys, "majority", "5", "--report")
+        assert (code, err) == (0, "") and json.loads(out) == majority_report(5).to_dict()
 
 
 class TestClosedPipe:
