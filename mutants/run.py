@@ -2,9 +2,10 @@
 a fresh copy of the repository's src/, tests/, README.md and pyproject.toml,
 and runs the entry's pytest selection, which must fail on the edit.
 
-    python mutants/run.py [LIST]
+    python mutants/run.py
 
-LIST defaults to mutants.json beside this script.  Each entry is an object:
+The mutants are listed in mutants.json beside this script.  Each entry is an
+object:
 
     {"name": ..., "file": path from the repository root,
      "old": text, "new": text, "tests": [pytest node ids]}
@@ -76,9 +77,8 @@ def run_mutant(entry: dict) -> str:
     return f"{outcome} ({last})"
 
 
-def main(argv: list[str]) -> int:
-    path = pathlib.Path(argv[0]) if argv else pathlib.Path(__file__).with_name("mutants.json")
-    entries = json.loads(path.read_text())
+def main() -> int:
+    entries = json.loads(pathlib.Path(__file__).with_name("mutants.json").read_text())
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy_repo(pathlib.Path(tmp))
@@ -97,4 +97,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -225,7 +225,7 @@ def _cmd_majority(args: argparse.Namespace) -> int:
         return 0
     # 2.3 bytes a point: the packed table, 1/8; its int, 2/15 (30-bit digits
     # in 4 bytes); the bitstring's format text and its reversal, 1 each
-    # (measured: 2.25-2.27 bytes a point over the RSS at import, k = 24..28)
+    # (measured: 2.25-2.26 bytes a point over the RSS at import, k = 24..28)
     with _table_memory(check_vars(k, 1), (23 << k) // 10):
         print(majority(k).to_bitstring())
     return 0
